@@ -68,7 +68,6 @@ Options parse(int argc, char** argv) {
 namespace perfbench {
 
 std::unique_ptr<Workload> make_workload(const std::string& name, std::uint64_t seed) {
-  if (name == "serve_mult_small") return make_serve_mult_small(seed);
   if (name == "serve_mixed_churn") return make_serve_mixed_churn(seed);
   if (name == "mlp_forward_sparse") return make_mlp_forward_sparse(seed);
   if (name == "mc_bl_characterization") return make_mc_bl_characterization(seed);

@@ -1,17 +1,9 @@
-// The two serving workloads: closed-loop clients against serve::Server.
-//
-// serve_mult_small   3 clients, one single-memory server (default
-//                    ServerConfig), every request a transient 8-bit MULT
-//                    over one row-pair layer. Little engine work per
-//                    request, so host time goes to admission, scheduling
-//                    and fulfilment.
-// serve_mixed_churn  2 clients, a 2-memory pool, adaptive policy off. A
-//                    seeded mix of all six OpKinds at 2/4/8/16 bits and
-//                    1-4 layers, a third of the single ops on operands the
-//                    client pinned (re-pinned fresh every epoch, so the
-//                    pinned set outgrows the row-pair budget and residency
-//                    evicts), plus fused chains and forwards whose weights
-//                    are pinned under a per-client colocate key.
+// serve_mixed_churn: closed-loop clients against serve::Server over a
+// 2-memory pool, adaptive policy off. A seeded mix of all six OpKinds at
+// 2/4/8/16 bits and 1-4 layers, a third of the single ops on operands the
+// client pinned (re-pinned fresh every epoch, so the pinned set outgrows the
+// row-pair budget and residency evicts), plus fused chains and forwards
+// whose weights are pinned under a per-client colocate key.
 //
 // Every result is compared with a scalar host reference as it arrives.
 
@@ -50,11 +42,9 @@ using bpim::periph::LogicFn;
 using bpim::serve::Server;
 
 /// Client threads: with polling clients every server thread needs a vCPU
-/// of its own on the 4-vCPU reference box. The single-memory server runs
-/// one scheduler thread (3 clients + 1); the 2-memory pool adds a lane
-/// worker (2 clients + 2).
-constexpr std::size_t kMultClients = 3;
-constexpr std::size_t kChurnClients = 2;
+/// of its own on the 4-vCPU reference box, and the 2-memory server runs a
+/// scheduler and a lane worker (2 clients + 2).
+constexpr std::size_t kClients = 2;
 constexpr std::size_t kMacrosPerMemory = 16;
 constexpr std::size_t kEngineThreads = 1;
 
@@ -172,69 +162,6 @@ void add_stats(Phase& p, const ServeSnapshot& a, const ServeSnapshot& b) {
   add_deltas(p, a.engines, b.engines);
 }
 
-// ---- serve_mult_small -------------------------------------------------------
-
-class ServeMultSmall final : public Workload {
- public:
-  explicit ServeMultSmall(std::uint64_t seed) : seed_(seed) {}
-
-  void setup() override {
-    server_.reset();
-    eng_.reset();
-    mem_.reset();
-    mem_ = std::make_unique<bpim::macro::ImcMemory>(memory_shape());
-    eng_ = std::make_unique<ExecutionEngine>(*mem_, bpim::engine::EngineConfig{kEngineThreads});
-    server_ = std::make_unique<Server>(*eng_);
-    elements_ = eng_->mult_units_per_row(kBits) * kMacrosPerMemory;
-    Rng rng = stream(seed_, 1);
-    Tally warm;
-    send(warm, rng);
-    if (warm.completed != 1 || warm.mismatches != 0)
-      throw std::runtime_error("serve_mult_small: warm-up request failed");
-  }
-
-  Phase run(double seconds) override {
-    ++phase_;
-    std::vector<Rng> rngs;
-    for (std::size_t c = 0; c < kMultClients; ++c) rngs.push_back(stream(seed_, 2 + phase_, c));
-    const ServeSnapshot before = snapshot(*server_);
-    Phase p = closed_loop(kMultClients, seconds, [&](std::size_t c, Tally& t) { send(t, rngs[c]); });
-    add_stats(p, before, snapshot(*server_));
-    return p;
-  }
-
-  void write_config(bpim::JsonWriter& w) const override {
-    w.field("loop", "closed");
-    w.field("clients", kMultClients);
-    w.field("memories", 1);
-    w.field("macros_per_memory", kMacrosPerMemory);
-    w.field("engine_threads", kEngineThreads);
-    w.field("server_config", "default");
-    w.field("kind_mix", "MULT 100%, transient operands");
-    w.field("bits", kBits);
-    w.field("elements", elements_);
-    w.field("adaptive_policy", "off");
-  }
-
- private:
-  static constexpr unsigned kBits = 8;
-
-  void send(Tally& t, Rng& rng) {
-    const auto a = random_codes(elements_, kBits, rng);
-    const auto b = random_codes(elements_, kBits, rng);
-    const VecOp op{OpKind::Mult, kBits, LogicFn::And, a, b};
-    request(t, [&] { return server_->submit(op); },
-            [&](const OpResult& r) { check_op(t, r, OpKind::Mult, LogicFn::And, kBits, a, b); });
-  }
-
-  std::uint64_t seed_;
-  std::uint64_t phase_ = 0;
-  std::size_t elements_ = 0;
-  std::unique_ptr<bpim::macro::ImcMemory> mem_;
-  std::unique_ptr<ExecutionEngine> eng_;
-  std::unique_ptr<Server> server_;
-};
-
 // ---- serve_mixed_churn ------------------------------------------------------
 
 constexpr std::size_t kMemories = 2;
@@ -276,8 +203,8 @@ class ServeMixedChurn final : public Workload {
     pcfg.threads_per_memory = kEngineThreads;
     pool_ = std::make_unique<bpim::serve::MemoryPool>(pcfg);
     server_ = std::make_unique<Server>(*pool_);
-    clients_.resize(kChurnClients);
-    for (std::size_t c = 0; c < kChurnClients; ++c) {
+    clients_.resize(kClients);
+    for (std::size_t c = 0; c < kClients; ++c) {
       Client& cl = clients_[c];
       cl.rng = stream(seed_, 100, c);
       const std::size_t n = per_layer(kForwardBits, OperandLayout::MultUnit);
@@ -297,7 +224,7 @@ class ServeMixedChurn final : public Workload {
 
   Phase run(double seconds) override {
     const ServeSnapshot before = snapshot(*server_);
-    Phase p = closed_loop(kChurnClients, seconds, [&](std::size_t c, Tally& t) { send(t, clients_[c]); });
+    Phase p = closed_loop(kClients, seconds, [&](std::size_t c, Tally& t) { send(t, clients_[c]); });
     add_stats(p, before, snapshot(*server_));
     std::uint64_t repins = 0;
     for (Client& cl : clients_) repins += std::exchange(cl.repins, 0);
@@ -307,7 +234,7 @@ class ServeMixedChurn final : public Workload {
 
   void write_config(bpim::JsonWriter& w) const override {
     w.field("loop", "closed");
-    w.field("clients", kChurnClients);
+    w.field("clients", kClients);
     w.field("memories", kMemories);
     w.field("macros_per_memory", kMacrosPerMemory);
     w.field("engine_threads_per_memory", kEngineThreads);
@@ -468,10 +395,6 @@ class ServeMixedChurn final : public Workload {
 };
 
 }  // namespace
-
-std::unique_ptr<Workload> make_serve_mult_small(std::uint64_t seed) {
-  return std::make_unique<ServeMultSmall>(seed);
-}
 
 std::unique_ptr<Workload> make_serve_mixed_churn(std::uint64_t seed) {
   return std::make_unique<ServeMixedChurn>(seed);

@@ -42,7 +42,6 @@ class Workload {
 [[nodiscard]] std::unique_ptr<Workload> make_workload(const std::string& name,
                                                       std::uint64_t seed);
 
-[[nodiscard]] std::unique_ptr<Workload> make_serve_mult_small(std::uint64_t seed);
 [[nodiscard]] std::unique_ptr<Workload> make_serve_mixed_churn(std::uint64_t seed);
 [[nodiscard]] std::unique_ptr<Workload> make_mlp_forward_sparse(std::uint64_t seed);
 [[nodiscard]] std::unique_ptr<Workload> make_mc_bl_characterization(std::uint64_t seed);

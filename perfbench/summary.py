@@ -25,9 +25,6 @@ from collections import defaultdict
 MIN_BEYOND = 10
 
 WORKLOADS = [
-    ("serve_mult_small",
-     "3 closed-loop clients of transient 8-bit MULTs: host time goes to serve admission, "
-     "scheduling and fulfilment"),
     ("mlp_forward_sparse",
      "back-to-back fused MLP forwards on 75%-zero inputs: app, engine and the adaptive "
      "macro datapath do the work"),
@@ -85,7 +82,7 @@ PER_LAYER = [
     ("obs.trace_dropped_events", "count", "lower"),
 ]
 
-RUN_SECONDS = 25
+RUN_SECONDS = 35
 MEDIAN_SLICES = 50
 TAIL_SLICES = 25
 
