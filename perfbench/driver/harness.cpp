@@ -1,7 +1,11 @@
 #include "harness.hpp"
 
-#include <sys/resource.h>
+#include <sched.h>
 
+#include <cerrno>
+#include <cstring>
+
+#include <fstream>
 #include <stdexcept>
 
 #include "obs/metrics.hpp"
@@ -27,11 +31,28 @@ std::vector<std::uint64_t> random_codes(std::size_t n, unsigned bits, bpim::Rng&
   return v;
 }
 
+int pin_to_one_cpu() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof allowed, &allowed) != 0)
+    throw std::runtime_error(std::string("sched_getaffinity: ") + std::strerror(errno));
+  int cpu = -1;
+  for (int i = 0; i < CPU_SETSIZE; ++i)
+    if (CPU_ISSET(i, &allowed)) cpu = i;
+  if (cpu < 0) throw std::runtime_error("sched_getaffinity: no CPU allowed");
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(cpu, &one);
+  if (sched_setaffinity(0, sizeof one, &one) != 0)
+    throw std::runtime_error(std::string("sched_setaffinity: ") + std::strerror(errno));
+  return cpu;
+}
+
 namespace {
 
-/// Requests per second one client can complete without growing its sample
-/// buffer: ~4x today's fastest client.
-constexpr double kMaxClientRate = 32768.0;
+/// Requests per second a phase can complete without reallocating its sample
+/// buffer: ~6x today's fastest workload.
+constexpr double kMaxRate = 65536.0;
 
 double session_us() {
   return static_cast<double>(bpim::obs::TraceSession::global().now_ns()) / 1e3;
@@ -39,14 +60,16 @@ double session_us() {
 
 }  // namespace
 
-void Tally::begin(double origin_us, double seconds) {
+void Tally::begin(double origin_us, CpuClock::time_point cpu_origin, double seconds) {
   origin_us_ = origin_us;
-  samples.resize(static_cast<std::size_t>(kMaxClientRate * seconds));  // touch every page now ...
-  samples.clear();  // ... and keep the capacity
+  cpu_origin_ = cpu_origin;
+  samples.reserve(static_cast<std::size_t>(kMaxRate * seconds));
 }
 
 void Tally::done(double us) {
-  samples.push_back(Sample{static_cast<float>(us), static_cast<float>(session_us() - origin_us_)});
+  samples.push_back(Sample{static_cast<float>(us),
+                           static_cast<float>(us_between(cpu_origin_, CpuClock::now())),
+                           static_cast<float>(session_us() - origin_us_)});
   ++completed;
 }
 
@@ -54,22 +77,12 @@ void Tally::mismatch(std::string what) {
   if (mismatches++ == 0) first_mismatch = std::move(what);
 }
 
-void Tally::add_counts(const Tally& o) {
-  attempted += o.attempted;
-  completed += o.completed;
-  failed += o.failed;
-  if (mismatches == 0 && o.mismatches != 0) first_mismatch = o.first_mismatch;
-  mismatches += o.mismatches;
-  instructions += o.instructions;
-  cycles += o.cycles;
-  fused_saved += o.fused_saved;
-  adaptive_saved += o.adaptive_saved;
-}
-
 void Phase::write(bpim::JsonWriter& w) const {
   w.begin_object();
   w.field("start_us", start_us);
   w.field("wall_s", wall_s);
+  w.field("cpu_s", cpu_s);
+  w.field("peak_rss_mb", peak_rss_mb);
   w.field("attempted", tally.attempted);
   w.field("completed", tally.completed);
   w.field("failed", tally.failed);
@@ -83,11 +96,12 @@ void Phase::write(bpim::JsonWriter& w) const {
   w.begin_object();
   for (const auto& [name, value] : stats) w.field(name, value);
   w.end_object();
-  for (const bool latency : {true, false}) {
-    w.key(latency ? "latency_us" : "done_us");
+  for (float Sample::*field : {&Sample::latency_us, &Sample::cpu_done_us, &Sample::done_us}) {
+    w.key(field == &Sample::latency_us    ? "latency_us"
+          : field == &Sample::cpu_done_us ? "cpu_done_us"
+                                          : "done_us");
     w.begin_array();
-    for (const auto& client : samples)
-      for (const Sample& s : client) w.value(static_cast<double>(latency ? s.latency_us : s.done_us));
+    for (const Sample& s : tally.samples) w.value(static_cast<double>(s.*field));
     w.end_array();
   }
   w.end_object();
@@ -125,42 +139,38 @@ void add_deltas(Phase& p, const EngineCounts& a, const EngineCounts& b) {
   p.stat("verify_rejected", d(a.verify_rejected, b.verify_rejected));
 }
 
-Phase closed_loop(std::size_t clients, double seconds,
-                  const std::function<void(std::size_t, Tally&)>& body) {
-  Phase p;
-  std::vector<Tally> tallies(clients);
-  p.start_us = session_us();
-  for (Tally& t : tallies) t.begin(p.start_us, seconds);
-  const auto start = Clock::now();
-  const auto deadline = start + std::chrono::duration_cast<Clock::duration>(
-                                    std::chrono::duration<double>(seconds));
-  std::vector<std::thread> threads;
-  threads.reserve(clients);
-  for (std::size_t c = 0; c < clients; ++c)
-    threads.emplace_back([&, c] {
-      while (Clock::now() < deadline) body(c, tallies[c]);
-    });
-  for (auto& t : threads) t.join();
-  p.wall_s = seconds_between(start, Clock::now());
-  for (Tally& t : tallies) {
-    p.tally.add_counts(t);
-    p.samples.push_back(std::move(t.samples));
-  }
-  return p;
-}
-
-Phase single_loop(double seconds, const std::function<void(Tally&)>& body) {
+Phase single_loop(double seconds, std::size_t rss_after, const std::function<void(Tally&)>& body,
+                  SetupProbe* probe) {
   Phase p;
   Tally t;
   p.start_us = session_us();
-  t.begin(p.start_us, seconds);
-  const auto start = Clock::now();
-  const auto deadline = start + std::chrono::duration_cast<Clock::duration>(
+  const auto cpu_start = CpuClock::now();
+  t.begin(p.start_us, cpu_start, seconds);
+  const auto start = WallClock::now();
+  const auto deadline = start + std::chrono::duration_cast<WallClock::duration>(
                                     std::chrono::duration<double>(seconds));
-  while (Clock::now() < deadline) body(t);
-  p.wall_s = seconds_between(start, Clock::now());
-  p.tally.add_counts(t);
-  p.samples.push_back(std::move(t.samples));
+  const auto period = std::chrono::duration_cast<WallClock::duration>(
+      std::chrono::duration<double>(probe ? probe->period_s : seconds));
+  CpuClock::duration paused{};
+  for (auto next_probe = start + period / 2;;) {
+    const auto now = WallClock::now();
+    if (now >= deadline) break;
+    if (probe && now >= next_probe) {
+      const auto t0 = CpuClock::now();
+      probe->samples_s.push_back(probe->setup());
+      const auto d = CpuClock::now() - t0;
+      t.pause(d);
+      paused += d;
+      next_probe += period;
+      continue;
+    }
+    body(t);
+    if (t.completed == rss_after) p.peak_rss_mb = peak_rss_mb();
+  }
+  if (t.completed < rss_after) p.peak_rss_mb = peak_rss_mb();
+  p.wall_s = seconds_between(start, WallClock::now());
+  p.cpu_s = std::chrono::duration<double>(CpuClock::now() - cpu_start - paused).count();
+  p.tally = std::move(t);
   return p;
 }
 
@@ -199,9 +209,12 @@ void TraceDrain::export_chunk() {
 }
 
 double peak_rss_mb() {
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux reports KiB
+  // VmHWM, not getrusage's ru_maxrss: the latter also holds the peak of the
+  // process image this one was exec'd from (here, a forked Python).
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);)
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;  // kB
+  throw std::runtime_error("no VmHWM in /proc/self/status");
 }
 
 }  // namespace perfbench

@@ -1,9 +1,18 @@
 #pragma once
 // Shared machinery of the perfbench workloads: the measured-phase record
 // every workload fills, the engine counters sampled around a phase, the
-// closed-loop client runner, the duty-cycled trace drain that empties
+// closed-loop request runner with its set-up probe, the duty-cycled trace
+// drain that empties
 // obs::TraceSession rings to chunk files, and the small host helpers
-// (clock, seeded streams, peak RSS).
+// (clocks, CPU pinning, seeded streams, peak RSS).
+//
+// Host times are measured on the process's CPU clock, with the whole
+// process pinned to one vCPU (pin_to_one_cpu(), called before any thread
+// starts). On one vCPU that the process keeps busy -- a serve client
+// blocks only while the server thread it has woken runs -- the CPU clock
+// advances with the wall clock except while the host runs something else on
+// that vCPU (steal time, which the guest kernel keeps out of task CPU time)
+// or the guest runs another process there. The CPU clock leaves both out.
 //
 // The driver measures only through the library's public API. Spans the
 // benchmark records itself ("bench.*") go through the same global
@@ -20,20 +29,44 @@
 #include <utility>
 #include <vector>
 
+#include <ctime>
+
 #include "common/json_writer.hpp"
 #include "common/rng.hpp"
 #include "engine/execution_engine.hpp"
 
 namespace perfbench {
 
-using Clock = std::chrono::steady_clock;
+/// Run deadlines: a phase lasts its --seconds on the wall clock.
+using WallClock = std::chrono::steady_clock;
 
-[[nodiscard]] inline double seconds_between(Clock::time_point a, Clock::time_point b) {
+/// What the benchmark measures with: CPU time of the whole process.
+struct CpuClock {
+  using duration = std::chrono::nanoseconds;
+  using rep = duration::rep;
+  using period = duration::period;
+  using time_point = std::chrono::time_point<CpuClock>;
+  static constexpr bool is_steady = true;
+  static time_point now() noexcept {
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return time_point(duration(static_cast<rep>(ts.tv_sec) * 1'000'000'000 + ts.tv_nsec));
+  }
+};
+
+template <class TimePoint>
+[[nodiscard]] double seconds_between(TimePoint a, TimePoint b) {
   return std::chrono::duration<double>(b - a).count();
 }
-[[nodiscard]] inline double us_between(Clock::time_point a, Clock::time_point b) {
+template <class TimePoint>
+[[nodiscard]] double us_between(TimePoint a, TimePoint b) {
   return std::chrono::duration<double, std::micro>(b - a).count();
 }
+
+/// Restrict this process to the last vCPU it may run on; threads started
+/// afterwards inherit it. Returns that CPU's number; throws if the
+/// affinity cannot be set.
+int pin_to_one_cpu();
 
 /// Independent, reproducible stream for (run seed, purpose, index): every
 /// input of a run derives from the --seed argument through this.
@@ -42,14 +75,17 @@ using Clock = std::chrono::steady_clock;
 /// Uniform values of `bits` width.
 [[nodiscard]] std::vector<std::uint64_t> random_codes(std::size_t n, unsigned bits, bpim::Rng& rng);
 
-/// One completed request, in microseconds: its latency, and its completion
-/// instant counted from the phase start. Floats keep the buffer small.
+/// One completed request, in microseconds: its latency on the CPU clock,
+/// and its completion instant counted from the phase start on the CPU
+/// clock and on the trace-session clock (which the trace windows use).
+/// Floats keep the buffer small.
 struct Sample {
   float latency_us;
+  float cpu_done_us;
   float done_us;
 };
 
-/// Outcome of one client (or of a whole phase once merged).
+/// Outcome of a phase's requests.
 struct Tally {
   std::uint64_t attempted = 0;  ///< requests sent
   std::uint64_t completed = 0;  ///< results received
@@ -64,26 +100,30 @@ struct Tally {
   std::uint64_t adaptive_saved = 0;
 
   /// Start a measured phase of `seconds` at `origin` (trace-session clock,
-  /// us). Sizes and touches the sample buffer up front, so the process's
-  /// resident memory does not grow with the phase's request count
-  /// (peak_rss_mb would otherwise track throughput).
-  void begin(double origin_us, double seconds);
-  /// One request completed `latency_us` after its call.
+  /// us) and `cpu_origin`. Reserves the sample buffer up front, so that it
+  /// never reallocates between requests; its pages become resident only as
+  /// samples fill them.
+  void begin(double origin_us, CpuClock::time_point cpu_origin, double seconds);
+  /// One request completed `latency_us` (CPU clock) after its call.
   void done(double latency_us);
+  /// Leave `d` of CPU time (a set-up probe's) out of the phase timeline.
+  void pause(CpuClock::duration d) { cpu_origin_ += d; }
   void mismatch(std::string what);
-  /// Add `other`'s counts; its samples stay where they are.
-  void add_counts(const Tally& other);
 
  private:
   double origin_us_ = 0.0;
+  CpuClock::time_point cpu_origin_{};
 };
 
 /// One measured phase as the driver reports it.
 struct Phase {
   double start_us = 0.0;  ///< trace-session clock
   double wall_s = 0.0;
-  Tally tally;  ///< counts of every client
-  std::vector<std::vector<Sample>> samples;  ///< per client, moved out of its Tally
+  double cpu_s = 0.0;  ///< process CPU time over the phase, set-up probes left out
+  /// Peak RSS once the phase had completed its rss_after requests (or at
+  /// its end, if it never did).
+  double peak_rss_mb = 0.0;
+  Tally tally;
   /// Named counts and modeled totals (deltas over the phase unless the
   /// name says otherwise), in emission order.
   std::vector<std::pair<std::string, double>> stats;
@@ -107,14 +147,26 @@ struct EngineCounts {
 /// Record after - before of every EngineCounts field as a phase stat.
 void add_deltas(Phase& p, const EngineCounts& before, const EngineCounts& after);
 
-/// Run `clients` closed-loop clients: client c calls body(c, tally) for one
-/// request at a time until `seconds` have passed since the start. The
-/// phase wall time runs from the start to the last client's last result.
-[[nodiscard]] Phase closed_loop(std::size_t clients, double seconds,
-                                const std::function<void(std::size_t, Tally&)>& body);
+/// Set-up timings spread through a phase, so that they sample the same
+/// host states as the phase's requests: every `period_s` of wall time the
+/// loop pauses between two requests and calls `setup`, which sets a fixture
+/// up elsewhere and returns the CPU seconds that took.
+struct SetupProbe {
+  std::function<double()> setup;
+  double period_s = 0.25;
+  std::vector<double> samples_s;
+};
 
-/// Single-caller loop: body(tally) per request until `seconds` elapse.
-[[nodiscard]] Phase single_loop(double seconds, const std::function<void(Tally&)>& body);
+/// Closed loop on the calling thread: body(tally) per request until
+/// `seconds` of wall time elapse, plus `probe`'s set-ups if it is set. The
+/// phase's CPU time (cpu_s, the samples' cpu_done_us) leaves out what the
+/// probe costs this process. The phase's peak RSS is read after
+/// `rss_after` requests: the program keeps memory per request served
+/// (program caches, ServeLedger), so a read at the end would follow the
+/// run's throughput.
+[[nodiscard]] Phase single_loop(double seconds, std::size_t rss_after,
+                                const std::function<void(Tally&)>& body,
+                                SetupProbe* probe = nullptr);
 
 /// Duty-cycled tracing: enable the global trace session for `window`,
 /// disable it, drain every per-thread ring into the next chunk file
@@ -148,7 +200,7 @@ class TraceDrain {
   std::thread thread_;
 };
 
-/// Peak resident set size of this process, MiB.
+/// Peak resident set size of this process (VmHWM), MiB.
 [[nodiscard]] double peak_rss_mb();
 
 }  // namespace perfbench

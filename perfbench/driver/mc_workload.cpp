@@ -33,6 +33,7 @@ constexpr std::size_t kWludTrials = 1;
 constexpr std::size_t kAdmWludTrials = 30;
 constexpr std::size_t kAdmShortTrials = 12;
 constexpr double kWludLevelV = 0.55;
+constexpr std::size_t kRssRequests = 1500;  ///< peak RSS read after ~2 s of rounds
 
 /// (p99 - p50) / (p50 - p1): the right-tail skew test_bl_compute bounds.
 double skew(const SampleSet& s) {
@@ -56,8 +57,8 @@ class McBlCharacterization final : public Workload {
     if (warm.completed != 1) throw std::runtime_error("mc_bl_characterization: warm-up failed");
   }
 
-  Phase run(double seconds) override {
-    Phase p = single_loop(seconds, [&](Tally& t) { round(t); });
+  Phase run(double seconds, SetupProbe* probe) override {
+    Phase p = single_loop(seconds, kRssRequests, [&](Tally& t) { round(t); }, probe);
     p.stat("boost_trials", static_cast<double>(p.tally.completed * kBoostTrials));
     p.stat("wlud_trials", static_cast<double>(p.tally.completed * kWludTrials));
     p.stat("adm_wlud_trials", static_cast<double>(p.tally.completed * kAdmWludTrials));
@@ -90,6 +91,7 @@ class McBlCharacterization final : public Workload {
   void write_config(bpim::JsonWriter& w) const override {
     w.field("loop", "closed, one caller, single-threaded");
     w.field("request", "one round: one call of each estimator below");
+    w.field("rss_after_requests", kRssRequests);
     w.field("bl_delay_boost_trials", kBoostTrials);
     w.field("bl_delay_wlud_trials", kWludTrials);
     w.field("adm_wlud_trials", kAdmWludTrials);
@@ -104,7 +106,7 @@ class McBlCharacterization final : public Workload {
 
   void round(Tally& t) {
     ++t.attempted;
-    const auto t0 = Clock::now();
+    const auto t0 = CpuClock::now();
     {
       bpim::obs::Span span("bench.mc.bl_delay.boost");
       span.arg("trials", kBoostTrials);
@@ -134,7 +136,7 @@ class McBlCharacterization final : public Workload {
       adm_short_.trials += r.trials;
       adm_short_.failures += r.failures;
     }
-    t.done(us_between(t0, Clock::now()));
+    t.done(us_between(t0, CpuClock::now()));
   }
 
   std::uint64_t seed_;

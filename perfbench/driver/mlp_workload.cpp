@@ -28,6 +28,7 @@ using bpim::engine::ExecutionEngine;
 constexpr std::size_t kEngineThreads = 1;
 constexpr double kZeroShare = 0.75;
 constexpr double kRelTolerance = 1e-9;
+constexpr std::size_t kRssRequests = 1000;  ///< peak RSS read after ~2.5 s of forwards
 const std::vector<std::size_t> kSizes{256, 32, 16, 8};
 const std::vector<unsigned> kBits{8, 8, 4};
 
@@ -59,11 +60,11 @@ class MlpForwardSparse final : public Workload {
       throw std::runtime_error("mlp_forward_sparse: warm-up forward failed");
   }
 
-  Phase run(double seconds) override {
+  Phase run(double seconds, SetupProbe* probe) override {
     Rng rng = stream(seed_, 2 + ++phase_);
     Modeled m;
     const EngineCounts before = counts();
-    Phase p = single_loop(seconds, [&](Tally& t) { forward(t, rng, &m); });
+    Phase p = single_loop(seconds, kRssRequests, [&](Tally& t) { forward(t, rng, &m); }, probe);
     p.stat("energy_nj", m.energy_nj);
     p.stat("load_cycles", static_cast<double>(m.load_cycles));
     p.stat("zero_share", m.inputs == 0 ? 0.0 : static_cast<double>(m.zeros) / static_cast<double>(m.inputs));
@@ -78,6 +79,7 @@ class MlpForwardSparse final : public Workload {
   void write_config(bpim::JsonWriter& w) const override {
     w.field("loop", "closed, one caller");
     w.field("clients", 1);
+    w.field("rss_after_requests", kRssRequests);
     w.field("memories", 1);
     w.field("macros_per_memory", mem_->macro_count());
     w.field("engine_threads", kEngineThreads);
@@ -111,12 +113,12 @@ class MlpForwardSparse final : public Workload {
     ++t.attempted;
     std::vector<double> y;
     try {
-      const auto t0 = Clock::now();
+      const auto t0 = CpuClock::now();
       {
         bpim::obs::Span span("bench.forward");
         y = mlp_->forward(*eng_, x);
       }
-      t.done(us_between(t0, Clock::now()));
+      t.done(us_between(t0, CpuClock::now()));
     } catch (const std::exception&) {
       ++t.failed;
       return;

@@ -1,20 +1,18 @@
-// serve_mixed_churn: closed-loop clients against serve::Server over a
+// serve_mixed_churn: one closed-loop client against serve::Server over a
 // 2-memory pool, adaptive policy off. A seeded mix of all six OpKinds at
 // 2/4/8/16 bits and 1-4 layers, a third of the single ops on operands the
 // client pinned (re-pinned fresh every epoch, so the pinned set outgrows the
 // row-pair budget and residency evicts), plus fused chains and forwards
-// whose weights are pinned under a per-client colocate key.
+// whose weights are pinned under the client's colocate key.
 //
 // Every result is compared with a scalar host reference as it arrives.
 
 #include <array>
-#include <chrono>
 #include <exception>
 #include <future>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -41,10 +39,13 @@ using bpim::engine::VecOp;
 using bpim::periph::LogicFn;
 using bpim::serve::Server;
 
-/// Client threads: with polling clients every server thread needs a vCPU
-/// of its own on the 4-vCPU reference box, and the 2-memory server runs a
-/// scheduler and a lane worker (2 clients + 2).
-constexpr std::size_t kClients = 2;
+/// One client, on the calling thread. The process runs on one vCPU
+/// (pin_to_one_cpu()), where the client, the scheduler and the lane worker
+/// take turns; with two clients the turn order, and with it the latency,
+/// switched between modes from run to run.
+constexpr std::size_t kClients = 1;
+constexpr std::uint64_t kColocateKey = 0xF0;
+constexpr std::size_t kRssRequests = 20000;  ///< peak RSS read after ~2 s of requests
 constexpr std::size_t kMacrosPerMemory = 16;
 constexpr std::size_t kEngineThreads = 1;
 
@@ -91,27 +92,27 @@ void account(Tally& t, const OpResult& r) {
 /// result (span "bench.wait"), record the latency from the call to result
 /// ready, then check. A throw anywhere counts the request as failed.
 ///
-/// The client polls its future (yielding between polls) instead of blocking
-/// on it. A blocked client leaves its vCPU idle; on a shared VM the host
-/// halts an idle vCPU, and waking it again waits on the host's scheduler --
-/// a delay that dwarfs the request and varies run to run with the host's
-/// load.
+/// The client blocks on its future. With the whole process on one vCPU,
+/// the submit has already woken the scheduler thread, so the vCPU goes
+/// straight from the client to the server and back, and is never idle while
+/// a request is open: the CPU clock sees the whole request. (A timed linger
+/// in the server would be idle time the CPU clock misses; the default
+/// ServerConfig has none.) A client that polled with yields instead made
+/// the latency switch between two modes, ~60 and ~100 us, for whole runs.
 template <class Submit, class Check>
 void request(Tally& t, Submit&& submit, Check&& check) {
   ++t.attempted;
   try {
-    const auto t0 = Clock::now();
+    const auto t0 = CpuClock::now();
     auto fut = [&] {
       bpim::obs::Span span("bench.submit");
       return submit();
     }();
     auto result = [&] {
       bpim::obs::Span span("bench.wait");
-      while (fut.wait_for(std::chrono::seconds(0)) != std::future_status::ready)
-        std::this_thread::yield();
       return fut.get();
     }();
-    t.done(us_between(t0, Clock::now()));
+    t.done(us_between(t0, CpuClock::now()));
     check(result);
   } catch (const std::exception&) {
     ++t.failed;
@@ -194,7 +195,8 @@ class ServeMixedChurn final : public Workload {
   explicit ServeMixedChurn(std::uint64_t seed) : seed_(seed) {}
 
   void setup() override {
-    clients_.clear();
+    client_ = Client{};
+    client_.rng = stream(seed_, 100, 0);
     server_.reset();
     pool_.reset();
     bpim::serve::MemoryPoolConfig pcfg;
@@ -203,38 +205,33 @@ class ServeMixedChurn final : public Workload {
     pcfg.threads_per_memory = kEngineThreads;
     pool_ = std::make_unique<bpim::serve::MemoryPool>(pcfg);
     server_ = std::make_unique<Server>(*pool_);
-    clients_.resize(kClients);
-    for (std::size_t c = 0; c < kClients; ++c) {
-      Client& cl = clients_[c];
-      cl.rng = stream(seed_, 100, c);
-      const std::size_t n = per_layer(kForwardBits, OperandLayout::MultUnit);
-      for (std::size_t j = 0; j < kForwardWeights; ++j) {
-        cl.fwd_values.push_back(random_codes(n, kForwardBits, cl.rng));
-        cl.fwd_handles.push_back(server_->pin(cl.fwd_values.back(), kForwardBits,
-                                              OperandLayout::MultUnit, 0xF0 + c));
-      }
-      repin(cl);
-      cl.repins = 0;  // count only the re-pins of measured phases
+    Client& cl = client_;
+    const std::size_t n = per_layer(kForwardBits, OperandLayout::MultUnit);
+    for (std::size_t j = 0; j < kForwardWeights; ++j) {
+      cl.fwd_values.push_back(random_codes(n, kForwardBits, cl.rng));
+      cl.fwd_handles.push_back(server_->pin(cl.fwd_values.back(), kForwardBits,
+                                            OperandLayout::MultUnit, kColocateKey));
     }
+    repin(cl);
+    cl.repins = 0;  // count only the re-pins of measured phases
     Tally warm;
-    send_forward(warm, clients_[0]);
+    send_forward(warm, cl);
     if (warm.completed != 1 || warm.mismatches != 0)
       throw std::runtime_error("serve_mixed_churn: warm-up request failed");
   }
 
-  Phase run(double seconds) override {
+  Phase run(double seconds, SetupProbe* probe) override {
     const ServeSnapshot before = snapshot(*server_);
-    Phase p = closed_loop(kClients, seconds, [&](std::size_t c, Tally& t) { send(t, clients_[c]); });
+    Phase p = single_loop(seconds, kRssRequests, [&](Tally& t) { send(t, client_); }, probe);
     add_stats(p, before, snapshot(*server_));
-    std::uint64_t repins = 0;
-    for (Client& cl : clients_) repins += std::exchange(cl.repins, 0);
-    p.stat("repins", static_cast<double>(repins));
+    p.stat("repins", static_cast<double>(std::exchange(client_.repins, 0)));
     return p;
   }
 
   void write_config(bpim::JsonWriter& w) const override {
     w.field("loop", "closed");
     w.field("clients", kClients);
+    w.field("rss_after_requests", kRssRequests);
     w.field("memories", kMemories);
     w.field("macros_per_memory", kMacrosPerMemory);
     w.field("engine_threads_per_memory", kEngineThreads);
@@ -259,7 +256,7 @@ class ServeMixedChurn final : public Workload {
     std::vector<std::uint64_t> values;
   };
   struct Client {
-    Rng rng;
+    Rng rng{0};
     std::vector<Pinned> pinned;
     std::size_t epoch_left = 0;
     std::uint64_t repins = 0;
@@ -391,7 +388,7 @@ class ServeMixedChurn final : public Workload {
   std::uint64_t seed_;
   std::unique_ptr<bpim::serve::MemoryPool> pool_;
   std::unique_ptr<Server> server_;
-  std::vector<Client> clients_;
+  Client client_;
 };
 
 }  // namespace

@@ -4,11 +4,12 @@
 // measured phases against it through the library's public API only.
 //
 // Lifecycle, driven by main.cpp:
-//   setup()      x K   -- timed; each call tears the previous fixture down,
-//                         builds a fresh one and serves one warm-up request
+//   setup()      x 1   -- builds the fixture and serves one warm-up request
 //   run(seconds) x 1-2 -- one measured phase (untraced, then traced when
 //                         --trace 1), every result checked against a host
-//                         reference as it arrives
+//                         reference as it arrives; the untraced phase of
+//                         --trace 0 also takes set-up timings through its
+//                         SetupProbe
 //   check()            -- whole-run checks that need the aggregate (the
 //                         Monte Carlo's statistical bounds); empty = pass
 
@@ -26,7 +27,8 @@ class Workload {
   virtual ~Workload() = default;
 
   virtual void setup() = 0;
-  [[nodiscard]] virtual Phase run(double seconds) = 0;
+  /// `probe` may be null: no set-up timings in this phase.
+  [[nodiscard]] virtual Phase run(double seconds, SetupProbe* probe) = 0;
   /// Aggregate check over every phase run so far; a non-empty string names
   /// the failed bound.
   [[nodiscard]] virtual std::string check() { return {}; }

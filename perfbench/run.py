@@ -7,8 +7,10 @@ Usage (from the repository root):
 
 The driver (perfbench/driver, CMake package perfbench/CMakeLists.txt) is
 built from source into $CARGO_TARGET_DIR, default .bench_build. --trace 0
-measures the end-to-end metrics; --trace 1 splits the run into an untraced
-and a traced half and reports the per-layer metrics. Every run writes its
+measures the end-to-end metrics, in up to PARTS driver processes run one
+after another that share the seconds; --trace 1 runs one process that
+splits its seconds into an untraced and a traced half and reports the
+per-layer metrics. Every run writes its
 result (seed, full workload configuration, metrics with units and sample
 counts) to <out>/results/<workload>/seed-<n>.trace-<t>.json for
 perfbench/compare.py, and prints one JSON object as its last stdout line:
@@ -52,17 +54,42 @@ def build():
     return os.path.join(build_dir, "bpim_perfbench")
 
 
-def run_driver(driver, args, work):
-    raw_path = os.path.join(work, "raw.json")
+# Driver processes per untraced run, and the shortest part worth a process.
+PARTS = 7
+MIN_PART_SECONDS = 4.0
+# Workloads whose correctness check is a statistic of the whole run's
+# samples (the Monte Carlo's skew and CV bounds): one process, so that the
+# check sees all of them.
+WHOLE_RUN_CHECK = {"mc_bl_characterization"}
+
+
+def run_driver(driver, args, seconds, work, part):
+    raw_path = os.path.join(work, f"raw-{part}.json")
     cmd = [driver, "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", str(args.trace),
+           "--seconds", str(seconds), "--trace", str(args.trace),
            "--raw", raw_path, "--trace-dir", os.path.join(work, "trace")]
     proc = subprocess.run(cmd, stdout=sys.stderr, stderr=sys.stderr,
-                          timeout=60 + 3 * args.seconds)
+                          timeout=60 + 3 * seconds)
     if proc.returncode != 0:
         fail(f"driver exited with {proc.returncode}")
     with open(raw_path) as f:
         return json.load(f)
+
+
+def run_parts(driver, args, work):
+    """The raw record of the run. An untraced run is PARTS processes (fewer
+    when --seconds is short), each on the same seed: on the reference box a
+    process often runs at one speed for most of its life (see README.md),
+    so one process per run would make each run a single draw of it."""
+    if args.trace:
+        return run_driver(driver, args, args.seconds, work, 0)
+    parts = max(1, min(PARTS, int(args.seconds // MIN_PART_SECONDS)))
+    if args.workload in WHOLE_RUN_CHECK:
+        parts = 1
+    raws = [run_driver(driver, args, args.seconds / parts, work, p) for p in range(parts)]
+    raw = summary.merge_parts(raws)
+    raw["config"] = dict(raw["config"], processes=parts)
+    return raw
 
 
 def main():
@@ -87,7 +114,7 @@ def main():
     work = os.path.join(args.out, "tmp", f"{args.workload}-{args.seed}-{args.trace}-{os.getpid()}")
     os.makedirs(work, exist_ok=True)
     try:
-        raw = run_driver(driver, args, work)
+        raw = run_parts(driver, args, work)
         phases = raw["phases"].values()
         mismatches = sum(p["mismatches"] for p in phases)
         correct = mismatches == 0 and not raw["check"]

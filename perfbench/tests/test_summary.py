@@ -44,6 +44,90 @@ class Percentile(unittest.TestCase):
         self.assertEqual(summary.p50_or_zero(list(range(21))), 10)
 
 
+class QuietPool(unittest.TestCase):
+    @staticmethod
+    def phase(slice_latencies, per_slice):
+        """Requests evenly spread through 0.1 s slices, one latency per slice."""
+        lat, done = [], []
+        for k, l in enumerate(slice_latencies):
+            for j in range(per_slice):
+                lat.append(l)
+                done.append((k + (j + 0.5) / per_slice) * summary.SLICE_S * 1e6)
+        return lat, done, len(slice_latencies) * summary.SLICE_S
+
+    def test_pools_the_fastest_slices(self):
+        # 40 slow slices and 20 fast ones, interleaved: a twentieth of the
+        # slices (3), all fast, already hold 3000 samples.
+        lat, done, span = self.phase([200.0, 200.0, 100.0] * 20, 1000)
+        pooled_s, pool = summary.quiet_pool(lat, done, span)
+        self.assertAlmostEqual(pooled_s, 3 * summary.SLICE_S)
+        self.assertEqual(pool, [100.0] * 3000)
+
+    def test_takes_more_slices_until_the_p99_has_its_samples(self):
+        # 40 samples per slice: the p99 rule needs 23 slices (920 samples),
+        # more than the 5% share of 100 slices; the pool then reaches into
+        # the slow slices.
+        lat, done, span = self.phase([100.0] * 20 + [300.0] * 80, 40)
+        pooled_s, pool = summary.quiet_pool(lat, done, span)
+        self.assertAlmostEqual(pooled_s, 23 * summary.SLICE_S)
+        self.assertEqual(len(pool), 920)
+        self.assertEqual(pool.count(300.0), 120)
+        self.assertEqual(summary.samples_beyond(len(pool), 0.99), summary.MIN_BEYOND)
+
+    def test_empty_slices_rank_last(self):
+        lat, done, span = self.phase([50.0] * 20, 100)
+        span *= 2  # a second, empty half: an idle stretch never looks quiet
+        pooled_s, pool = summary.quiet_pool(lat, done, span)
+        self.assertAlmostEqual(pooled_s, 10 * summary.SLICE_S)
+        self.assertEqual(len(pool), 1000)
+
+    def test_too_short_a_phase(self):
+        lat, done, span = self.phase([100.0] * 10, 50)
+        with self.assertRaises(summary.NotEnoughSamples):
+            summary.quiet_pool(lat, done, span)
+
+    def test_end_to_end_reads_the_cpu_timeline(self):
+        lat, done, span = self.phase([200.0, 100.0] * 10, 1000)
+        raw = {"peak_rss_mb": 12.5, "setup_s": [0.004 - i * 1e-4 for i in range(21)],
+               "phases": {"untraced": {"latency_us": lat, "cpu_done_us": done, "cpu_s": span}}}
+        m = summary.end_to_end(raw)
+        self.assertEqual(m["throughput_rps"], (10000.0, "1/s", 1000))
+        self.assertEqual(m["latency_p50_us"], (100.0, "us", 1000))
+        self.assertEqual(m["latency_p99_us"], (100.0, "us", 1000))
+        # setup_s: the QUIET_SHARE quantile of the set-ups timed in the run.
+        self.assertAlmostEqual(m["setup_s"][0], 0.002 + 0.05 * 20 * 1e-4)
+        self.assertEqual(m["setup_s"][2], 21)
+
+
+class MergeParts(unittest.TestCase):
+    @staticmethod
+    def part(lat, done, cpu_s, setups, rss, check="", failed=0, first_mismatch=""):
+        return {"workload": "wl", "config": {"clients": 1}, "setup_s": setups,
+                "peak_rss_mb": rss, "check": check,
+                "phases": {"untraced": {"latency_us": lat, "cpu_done_us": done, "cpu_s": cpu_s,
+                                        "attempted": len(lat) + failed, "completed": len(lat),
+                                        "failed": failed, "mismatches": 1 if first_mismatch else 0,
+                                        "first_mismatch": first_mismatch}}}
+
+    def test_parts_follow_each_other_on_one_cpu_timeline(self):
+        raw = summary.merge_parts([
+            self.part([10.0, 20.0], [5.0, 900.0], 0.001, [0.5], 12.0),
+            self.part([30.0], [400.0], 0.002, [0.25, 0.75], 14.0, check="skew; ", failed=2,
+                      first_mismatch="element 3"),
+        ])
+        ph = raw["phases"]["untraced"]
+        self.assertEqual(ph["latency_us"], [10.0, 20.0, 30.0])
+        self.assertEqual(ph["cpu_done_us"], [5.0, 900.0, 1400.0])
+        self.assertAlmostEqual(ph["cpu_s"], 0.003)
+        self.assertEqual((ph["attempted"], ph["completed"], ph["failed"], ph["mismatches"]),
+                         (5, 3, 2, 1))
+        self.assertEqual(ph["first_mismatch"], "element 3")
+        self.assertEqual(raw["setup_s"], [0.5, 0.25, 0.75])
+        self.assertEqual(raw["peak_rss_mb"], 14.0)
+        self.assertEqual(raw["check"], "skew")
+        self.assertEqual(raw["config"], {"clients": 1})
+
+
 class SelfTime(unittest.TestCase):
     def test_no_children_is_the_whole_span(self):
         self.assertEqual(summary.self_times([(0, 10), (20, 25)], []), [10, 5])
