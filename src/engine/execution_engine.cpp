@@ -132,8 +132,8 @@ void ExecutionEngine::materialize(ResidencyManager::Entry& entry) {
   }
 }
 
-const macro::Program& ExecutionEngine::program_for(const VecOp& op, std::size_t r_a,
-                                                   std::size_t r_b) {
+const macro::VerifiedProgram& ExecutionEngine::program_for(const VecOp& op, std::size_t r_a,
+                                                           std::size_t r_b) {
   const RowRef a = RowRef::main(r_a);
   const RowRef b = RowRef::main(r_b);
   switch (op.kind) {
@@ -240,9 +240,9 @@ OpResult ExecutionEngine::run_one(const VecOp& op, OpAccount& acct) {
   };
 
   // Compile (or fetch) the per-layer single-op programs up front, on the
-  // submitting thread: workers share the verified Program objects by
-  // reference and never touch the compiler cache.
-  std::vector<const macro::Program*> progs;
+  // submitting thread: workers share the verified programs by reference
+  // and never touch the compiler cache.
+  std::vector<const macro::VerifiedProgram*> progs;
   progs.reserve(layers);
   for (std::size_t rp = 0; rp < layers; ++rp) {
     const auto [pr_a, pr_b] = place(rp);
@@ -252,8 +252,8 @@ OpResult ExecutionEngine::run_one(const VecOp& op, OpAccount& acct) {
   // Shard: macro m owns chunks m, m + M, m + 2M, ... -- the same per-macro
   // chunk sequence as the serial layer walk, so RNG streams and ledgers
   // advance identically and any thread count gives bit-identical results.
-  // Each worker runs its macro's programs through a VerifyFirst controller;
-  // the ProgramStats it returns (priced per instruction by macro::CostModel)
+  // Each worker runs its macro's programs through a MacroController; the
+  // ProgramStats it returns (priced per instruction by macro::CostModel)
   // are the op's accounting source.
   const std::span<const std::uint64_t> av = a;
   const std::span<const std::uint64_t> bv = b;
@@ -264,7 +264,7 @@ OpResult ExecutionEngine::run_one(const VecOp& op, OpAccount& acct) {
   std::vector<Joule> energy_m(macros, Joule(0.0));
   pool_.parallel_for(std::min(chunks, macros), [&](std::size_t m) {
     auto& mac = mem_.macro(m);
-    macro::MacroController ctl(mac, macro::VerifyMode::VerifyFirst);
+    macro::MacroController ctl(mac);
     std::vector<macro::TraceEntry> trace;
     for (std::size_t c = m; c < chunks; c += macros) {
       const std::size_t row_pair = c / macros;
@@ -494,22 +494,23 @@ FusedForward& ExecutionEngine::fused_program_for(const ForwardPlan& plan) {
     next.ids.push_back(e->handle.id);
     next.base_pairs.push_back(e->base_pair);
   }
-  next.programs.reserve(macros);
-  for (std::size_t m = 0; m < macros; ++m) {
+  const std::size_t active = std::min(plan.chunks, macros);
+  next.programs.reserve(active);
+  for (std::size_t m = 0; m < active; ++m) {
     // Macro m owns chunks m, m + M, ... (the run_one shard); its program
     // walks them layer-major with the op loop inside, so every MULT of a
     // layer shares the staged activation row and the chained datapath's
     // D1-staging discount applies to all but the first.
-    const std::size_t layers_m = plan.chunks > m ? (plan.chunks - m - 1) / macros + 1 : 0;
+    const std::size_t layers_m = (plan.chunks - m - 1) / macros + 1;
     macro::MacForwardSpec spec;
     spec.bits = plan.bits;
     for (std::size_t l = 0; l < layers_m; ++l)
       for (const ResidencyManager::Entry* e : plan.entries)
         spec.steps.push_back(macro::MacStep{2 * l, 2 * (e->base_pair + l)});
-    next.programs.push_back(spec.steps.empty() ? macro::Program{}
-                                               : compiler.compile_mac_forward(spec));
+    next.programs.push_back(compiler.compile_mac_forward(spec));
   }
-  next.fused_static_cycles = macro::FusionCompiler::fused_static_cycles(next.programs.front());
+  next.fused_static_cycles =
+      macro::FusionCompiler::fused_static_cycles(next.programs.front().program());
   ff = std::move(next);
   if (rebuild)
     ++fusion_stats_.recompiles;
@@ -572,8 +573,8 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
       const std::size_t len = std::min(plan.per_op, plan.elements - pos);
       mac.poke_mult_operands(2 * (c / macros), 0, plan.bits, activation.subspan(pos, len));
     }
-    macro::MacroController ctl(mac, macro::VerifyMode::VerifyFirst);
-    traces[m].reserve(ff.programs[m].size());
+    macro::MacroController ctl(mac);
+    traces[m].reserve(ff.programs[m].program().size());
     ps_m[m] = ctl.run(ff.programs[m], &traces[m], /*fuse_mac_chains=*/true, pol);
   });
 
@@ -684,11 +685,12 @@ OpResult ExecutionEngine::run_chain(const ChainRequest& req) {
   BPIM_REQUIRE(pairs_per_layer * layers <= row_pair_capacity(), "chain exceeds memory capacity");
   residency_.reserve_transient(pairs_per_layer * layers);
 
+  const std::size_t active = std::min(chunks, macros);
   const macro::FusionCompiler compiler(mem_.macro(0).config().geometry, pinned_rows());
-  std::vector<macro::Program> programs;
-  programs.reserve(macros);
-  for (std::size_t m = 0; m < macros; ++m) {
-    const std::size_t layers_m = chunks > m ? (chunks - m - 1) / macros + 1 : 0;
+  std::vector<macro::VerifiedProgram> programs;
+  programs.reserve(active);
+  for (std::size_t m = 0; m < active; ++m) {
+    const std::size_t layers_m = (chunks - m - 1) / macros + 1;
     macro::ChainSpec spec;
     spec.bits = req.bits;
     for (std::size_t l = 0; l < layers_m; ++l) {
@@ -699,14 +701,13 @@ OpResult ExecutionEngine::run_chain(const ChainRequest& req) {
         layer.links.emplace_back(req.links[j].kind, layer.a_row + 2 + j);
       spec.layers.push_back(std::move(layer));
     }
-    programs.push_back(spec.layers.empty() ? macro::Program{} : compiler.compile_chain(spec));
+    programs.push_back(compiler.compile_chain(spec));
   }
   mem_.reset_counters();
 
   const macro::AdaptivePolicy pol = adaptive_policy();
   std::vector<std::vector<macro::TraceEntry>> traces(macros);
   std::vector<macro::ProgramStats> ps_m(macros);
-  const std::size_t active = std::min(chunks, macros);
   pool_.parallel_for(active, [&](std::size_t m) {
     auto& mac = mem_.macro(m);
     for (std::size_t c = m; c < chunks; c += macros) {
@@ -720,8 +721,8 @@ OpResult ExecutionEngine::run_chain(const ChainRequest& req) {
       for (std::size_t j = 0; j < links; ++j)
         mac.poke_words(base + 2 + j, 0, 2 * req.bits, req.links[j].values.subspan(pos, len));
     }
-    macro::MacroController ctl(mac, macro::VerifyMode::VerifyFirst);
-    traces[m].reserve(programs[m].size());
+    macro::MacroController ctl(mac);
+    traces[m].reserve(programs[m].program().size());
     ps_m[m] = ctl.run(programs[m], &traces[m], /*fuse_mac_chains=*/true, pol);
   });
 

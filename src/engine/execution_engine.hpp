@@ -12,10 +12,11 @@
 // lock-step max (cycles) and fixed-order sum (energy).
 //
 // Unified execution model: every dispatched op -- run()/run_batch() exactly
-// like the fused paths -- is compiled to a verified macro ISA program
-// (macro::OpCompiler emits + caches the single-instruction program per
-// (kind, bits, row placement)) and executed through MacroController in
-// VerifyFirst mode. The engine never calls the macro row-op datapath
+// like the fused paths -- is compiled to a macro::VerifiedProgram
+// (macro::OpCompiler emits, verifies and caches the single-instruction
+// program per (kind, bits, row placement)) and executed through a
+// MacroController, which takes only verified programs and never re-checks
+// them. The engine never calls the macro row-op datapath
 // directly (a CI grep gate enforces this); RunStats are derived from the
 // instruction stream the controller prices through macro::CostModel, and
 // agree with the legacy per-macro ledgers exactly -- cycles are asserted
@@ -224,7 +225,8 @@ class ExecutionEngine {
   OpResult run_one(const VecOp& op, OpAccount& acct);
   /// The cached single-instruction program for `op` at one concrete row
   /// placement (compiled + verified on first use).
-  const macro::Program& program_for(const VecOp& op, std::size_t r_a, std::size_t r_b);
+  const macro::VerifiedProgram& program_for(const VecOp& op, std::size_t r_a,
+                                            std::size_t r_b);
   /// Write a pinned operand's values into its allocated rows (same chunk
   /// walk as run_one, one row per pair).
   void materialize(ResidencyManager::Entry& entry);

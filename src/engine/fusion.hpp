@@ -54,7 +54,7 @@ struct FusedForward {
   std::size_t layers = 0;               ///< row-pair layers per handle
   std::vector<std::uint64_t> ids;       ///< weight handle ids, op order
   std::vector<std::size_t> base_pairs;  ///< per-handle base at compile time
-  std::vector<macro::Program> programs;  ///< one per macro (possibly empty)
+  std::vector<macro::VerifiedProgram> programs;  ///< one per macro with work
   std::uint64_t fused_static_cycles = 0;  ///< macro-0 cost on the chained path
 };
 

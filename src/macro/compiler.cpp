@@ -22,15 +22,22 @@ obs::Counter& program_cache_hits_counter() {
   return c;
 }
 
-obs::Counter& compile_rejected_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "macro.verify.rejected", "programs rejected before execution (VerifyFirst or compile)");
-  return c;
+/// The compilers' one emit-and-verify step: seal `p` to zero diagnostics
+/// (warnings included) against the geometry and residency map, then count
+/// the emission and mark it on the trace timeline.
+VerifiedProgram emit_verified(Program p, const array::ArrayGeometry& g,
+                              std::span<const PinnedRows> pinned, bool fused) {
+  VerifiedProgram vp = verify(std::move(p), g, pinned, Severity::Warning);
+  programs_compiled_counter().add();
+  BPIM_TRACE_INSTANT("macro.program.compile", 0,
+                     obs::EventArgs{{"instructions", static_cast<double>(vp.program().size())},
+                                    {"fused", fused ? 1.0 : 0.0}});
+  return vp;
 }
 
 }  // namespace
 
-Program FusionCompiler::compile_mac_forward(const MacForwardSpec& spec) const {
+VerifiedProgram FusionCompiler::compile_mac_forward(const MacForwardSpec& spec) const {
   BPIM_REQUIRE(!spec.steps.empty(), "fused forward needs at least one MAC");
   BPIM_REQUIRE(is_supported_precision(spec.bits), "unsupported MAC precision");
   Program p;
@@ -38,11 +45,10 @@ Program FusionCompiler::compile_mac_forward(const MacForwardSpec& spec) const {
     BPIM_REQUIRE(s.a_row != s.b_row, "MAC needs two distinct rows");
     p.mult(RowRef::main(s.a_row), RowRef::main(s.b_row), spec.bits);
   }
-  verify_emitted(p, "compile_mac_forward");
-  return p;
+  return emit_verified(std::move(p), geom_, pinned_, /*fused=*/true);
 }
 
-Program FusionCompiler::compile_chain(const ChainSpec& spec) const {
+VerifiedProgram FusionCompiler::compile_chain(const ChainSpec& spec) const {
   BPIM_REQUIRE(!spec.layers.empty(), "chain needs at least one layer");
   BPIM_REQUIRE(is_supported_precision(spec.bits), "unsupported chain head precision");
   BPIM_REQUIRE(is_supported_precision(2 * spec.bits),
@@ -69,8 +75,7 @@ Program FusionCompiler::compile_chain(const ChainSpec& spec) const {
       }
     }
   }
-  verify_emitted(p, "compile_chain");
-  return p;
+  return emit_verified(std::move(p), geom_, pinned_, /*fused=*/true);
 }
 
 std::uint64_t FusionCompiler::fused_static_cycles(const Program& p) {
@@ -86,21 +91,6 @@ std::uint64_t FusionCompiler::fused_static_cycles(const Program& p) {
     prev = &i;
   }
   return c;
-}
-
-void FusionCompiler::verify_emitted(const Program& p, const char* what) const {
-  const VerifyReport rep = verify_program(p, geom_, pinned_);
-  if (rep.errors == 0 && rep.warnings == 0) {
-    programs_compiled_counter().add();
-    BPIM_TRACE_INSTANT("macro.program.compile", 0,
-                       obs::EventArgs{{"instructions", static_cast<double>(p.size())},
-                                      {"fused", 1.0}});
-    return;
-  }
-  compile_rejected_counter().add();
-  throw std::invalid_argument(std::string(what) +
-                              ": emitted program drew verifier diagnostics:\n" +
-                              rep.annotate(p));
 }
 
 namespace {
@@ -132,7 +122,7 @@ std::size_t OpCompiler::KeyHash::operator()(const Key& k) const {
   return static_cast<std::size_t>(h);
 }
 
-const Program& OpCompiler::single(const Instruction& inst) {
+const VerifiedProgram& OpCompiler::single(const Instruction& inst) {
   Key key;
   key.op = static_cast<std::uint8_t>(inst.op);
   key.fn = static_cast<std::uint8_t>(inst.logic_fn);
@@ -149,22 +139,14 @@ const Program& OpCompiler::single(const Instruction& inst) {
   }
   Program p;
   p.push(inst);
-  const VerifyReport rep = verify_program(p, geom_, pinned_);
-  if (rep.errors + rep.warnings != 0) {
-    compile_rejected_counter().add();
-    throw std::invalid_argument(
-        "OpCompiler: single-op program drew verifier diagnostics:\n" + rep.annotate(p));
-  }
+  VerifiedProgram vp = emit_verified(std::move(p), geom_, pinned_, /*fused=*/false);
   ++stats_.compiled;
-  programs_compiled_counter().add();
-  BPIM_TRACE_INSTANT("macro.program.compile", 0,
-                     obs::EventArgs{{"instructions", 1.0}, {"fused", 0.0}});
   // unordered_map references are stable under rehash and nothing is ever
-  // erased outside set_pinned(), so the mapped Program can be handed out.
-  return cache_.emplace(key, std::move(p)).first->second;
+  // erased outside set_pinned(), so the mapped program can be handed out.
+  return cache_.emplace(key, std::move(vp)).first->second;
 }
 
-const Program& OpCompiler::add(RowRef a, RowRef b, unsigned bits) {
+const VerifiedProgram& OpCompiler::add(RowRef a, RowRef b, unsigned bits) {
   Instruction i;
   i.op = Op::Add;
   i.a = a;
@@ -173,7 +155,7 @@ const Program& OpCompiler::add(RowRef a, RowRef b, unsigned bits) {
   return single(i);
 }
 
-const Program& OpCompiler::sub(RowRef a, RowRef b, unsigned bits) {
+const VerifiedProgram& OpCompiler::sub(RowRef a, RowRef b, unsigned bits) {
   Instruction i;
   i.op = Op::Sub;
   i.a = a;
@@ -182,7 +164,7 @@ const Program& OpCompiler::sub(RowRef a, RowRef b, unsigned bits) {
   return single(i);
 }
 
-const Program& OpCompiler::mult(RowRef a, RowRef b, unsigned bits) {
+const VerifiedProgram& OpCompiler::mult(RowRef a, RowRef b, unsigned bits) {
   Instruction i;
   i.op = Op::Mult;
   i.a = a;
@@ -191,7 +173,7 @@ const Program& OpCompiler::mult(RowRef a, RowRef b, unsigned bits) {
   return single(i);
 }
 
-const Program& OpCompiler::add_shift(RowRef a, RowRef b, unsigned bits, RowRef dest) {
+const VerifiedProgram& OpCompiler::add_shift(RowRef a, RowRef b, unsigned bits, RowRef dest) {
   Instruction i;
   i.op = Op::AddShift;
   i.a = a;
@@ -201,7 +183,7 @@ const Program& OpCompiler::add_shift(RowRef a, RowRef b, unsigned bits, RowRef d
   return single(i);
 }
 
-const Program& OpCompiler::unary(Op op, RowRef src, RowRef dest, unsigned bits) {
+const VerifiedProgram& OpCompiler::unary(Op op, RowRef src, RowRef dest, unsigned bits) {
   BPIM_REQUIRE(op == Op::Not || op == Op::Copy || op == Op::Shift,
                "unary() takes NOT/COPY/SHIFT");
   Instruction i;
@@ -212,7 +194,7 @@ const Program& OpCompiler::unary(Op op, RowRef src, RowRef dest, unsigned bits) 
   return single(i);
 }
 
-const Program& OpCompiler::logic(periph::LogicFn fn, RowRef a, RowRef b) {
+const VerifiedProgram& OpCompiler::logic(periph::LogicFn fn, RowRef a, RowRef b) {
   BPIM_REQUIRE(fn != periph::LogicFn::PassA && fn != periph::LogicFn::NotA,
                "PassA/NotA are single-WL paths; use unary(COPY/NOT)");
   Instruction i;

@@ -13,14 +13,8 @@ namespace bpim::macro {
 namespace {
 
 // Program-path instruments, resolved once (stable addresses, lock-free
-// updates thereafter). Rejections and per-program cycles are the adoption
-// signals of the unified execution model.
-obs::Counter& verify_rejected_counter() {
-  static obs::Counter& c = obs::MetricsRegistry::global().counter(
-      "macro.verify.rejected", "programs rejected before execution (VerifyFirst or compile)");
-  return c;
-}
-
+// updates thereafter). Per-program cycles are the adoption signal of the
+// unified execution model.
 obs::Histogram& program_cycles_histogram() {
   static obs::Histogram& h = obs::MetricsRegistry::global().histogram(
       "macro.program.cycles", "modeled cycles per executed macro program");
@@ -55,18 +49,21 @@ obs::Histogram& adaptive_depth_histogram() {
 
 }  // namespace
 
+std::string to_string(const array::RowRef& r) {
+  std::string name(1, r.is_dummy() ? 'D' : 'R');
+  name += std::to_string(r.index);
+  return name;
+}
+
 std::string to_string(const Instruction& inst) {
   std::ostringstream os;
   os << to_string(inst.op);
   if (inst.op == Op::Nand || inst.op == Op::And || inst.op == Op::Nor || inst.op == Op::Or ||
       inst.op == Op::Xnor || inst.op == Op::Xor)
     os << "(" << periph::to_string(inst.logic_fn) << ")";
-  auto row = [](const array::RowRef& r) {
-    return std::string(r.is_dummy() ? "D" : "R") + std::to_string(r.index);
-  };
-  os << " " << row(inst.a);
-  if (is_dual_wl(inst.op)) os << ", " << row(inst.b);
-  if (inst.dest) os << " -> " << row(*inst.dest);
+  os << " " << to_string(inst.a);
+  if (is_dual_wl(inst.op)) os << ", " << to_string(inst.b);
+  if (inst.dest) os << " -> " << to_string(*inst.dest);
   os << " @" << inst.bits << "b";
   return os.str();
 }
@@ -171,59 +168,14 @@ std::string Program::dump() const {
   return os.str();
 }
 
-void MacroController::check_row(const array::RowRef& r, std::size_t index) const {
-  const auto& g = macro_.config().geometry;
-  const std::size_t limit = r.is_dummy() ? g.dummy_rows : g.rows;
-  if (r.index >= limit)
-    throw std::invalid_argument("instruction " + std::to_string(index) +
-                                ": row out of range: " + std::to_string(r.index));
-}
-
-void MacroController::validate(const Program& p) const {
-  for (std::size_t k = 0; k < p.instructions().size(); ++k) {
-    const Instruction& i = p.instructions()[k];
-    check_row(i.a, k);
-    if (is_dual_wl(i.op)) {
-      check_row(i.b, k);
-      if (i.a == i.b)
-        throw std::invalid_argument("instruction " + std::to_string(k) +
-                                    ": dual-WL op needs two distinct rows");
-    }
-    if (i.dest) check_row(*i.dest, k);
-    const bool needs_dest = i.op == Op::Not || i.op == Op::Copy || i.op == Op::Shift ||
-                            i.op == Op::AddShift;
-    if (needs_dest && !i.dest)
-      throw std::invalid_argument("instruction " + std::to_string(k) + ": " +
-                                  std::string(to_string(i.op)) + " requires a destination");
-    if (i.op != Op::And || i.logic_fn == periph::LogicFn::PassA ||
-        i.logic_fn == periph::LogicFn::NotA) {
-      // Arithmetic ops and single-WL paths carry a precision.
-      if (i.op == Op::Add || i.op == Op::AddShift || i.op == Op::Sub || i.op == Op::Mult ||
-          needs_dest) {
-        if (!is_supported_precision(i.bits))
-          throw std::invalid_argument("instruction " + std::to_string(k) +
-                                      ": unsupported precision " + std::to_string(i.bits));
-        const unsigned span = i.op == Op::Mult ? 2 * i.bits : i.bits;
-        if (macro_.cols() % span != 0)
-          throw std::invalid_argument("instruction " + std::to_string(k) +
-                                      ": precision does not divide the row width");
-      }
-    }
-  }
-}
-
-ProgramStats MacroController::run(const Program& p, std::vector<TraceEntry>* trace,
+ProgramStats MacroController::run(const VerifiedProgram& vp, std::vector<TraceEntry>* trace,
                                   bool fuse_mac_chains, const AdaptivePolicy& policy) {
-  if (mode_ == VerifyMode::VerifyFirst) {
-    const VerifyReport report = verify_program(p, macro_);
-    if (!report.ok()) {
-      verify_rejected_counter().add();
-      throw std::invalid_argument("program rejected by verifier: " + report.error_summary() +
-                                  "\n" + report.annotate(p));
-    }
-  } else {
-    validate(p);
-  }
+  // The verifier checked every row, role and precision against the
+  // program's geometry; the only thing left to check is that this macro has
+  // that geometry.
+  BPIM_REQUIRE(vp.geometry() == macro_.config().geometry,
+               "program was verified against a different array geometry");
+  const Program& p = vp.program();
   // The instruction stream is the accounting source: every instruction is
   // priced by the cost model (cycles from timing/, joules from energy/) and
   // cross-checked against the executing datapath's ledger. Cycles are

@@ -2,11 +2,13 @@
 // Micro-program interface to the IMC macro -- the software-visible face of
 // the "Ctrl." block in the paper's Fig 3.
 //
-// A Program is a validated list of instructions (op, operand rows, precision,
-// destination); the MacroController executes it on an ImcMacro, accumulating
-// per-program cycle/energy statistics and recording an optional trace. This
-// is how a host integrates the macro: build row-level programs, run them,
-// read results -- without touching the per-op C++ API directly.
+// A Program is a list of instructions (op, operand rows, precision,
+// destination). The verifier (macro/verifier.hpp) checks it once against an
+// array geometry and seals it as a VerifiedProgram; the MacroController
+// executes only sealed programs on an ImcMacro, accumulating per-program
+// cycle/energy statistics and recording an optional trace. This is how a
+// host integrates the macro: build row-level programs, verify them, run
+// them, read results -- without touching the per-op C++ API directly.
 
 #include <cstdint>
 #include <optional>
@@ -31,9 +33,12 @@ struct Instruction {
   unsigned bits = 8;
 };
 
+/// "R<i>" for a main row, "D<i>" for a dummy row.
+[[nodiscard]] std::string to_string(const array::RowRef& r);
 [[nodiscard]] std::string to_string(const Instruction& inst);
 
-/// Validated instruction list.
+/// Instruction list. The builder methods check their own arguments; whole-
+/// program validity against an array is the verifier's job.
 class Program {
  public:
   Program() = default;
@@ -48,9 +53,8 @@ class Program {
 
   /// Append a raw instruction with none of the builder methods' argument
   /// checks -- the entry point for code that assembles Instructions itself
-  /// (a macro compiler, fuzzers, verifier tests). Such programs carry no
-  /// validity guarantee: check them with macro::verify_program (or run them
-  /// through a VerifyFirst controller) before execution.
+  /// (a macro compiler, fuzzers, verifier tests). Like every Program, it
+  /// only runs once macro::verify has sealed it.
   Program& push(Instruction inst) {
     instructions_.push_back(std::move(inst));
     return *this;
@@ -102,31 +106,18 @@ struct ProgramStats {
   Second elapsed{0.0};
 };
 
-/// How MacroController checks a program before execution.
-enum class VerifyMode {
-  /// The original first-fault walk (validate()): throws at the first
-  /// malformed instruction with just its index.
-  Legacy,
-  /// Run the static verifier (macro/verifier.hpp) over the whole program
-  /// first; reject with every error listed. Catches everything Legacy does
-  /// plus scratch-row role violations and budget faults.
-  VerifyFirst,
-};
+class VerifiedProgram;  // macro/verifier.hpp
 
-/// Executes programs against a macro; validates rows/precision before any
-/// state is touched (a bad program is rejected whole).
+/// Executes verified programs against a macro. The verifier already
+/// rejected every malformed program, so run() checks only that the program
+/// was verified against this macro's geometry.
 class MacroController {
  public:
-  explicit MacroController(ImcMacro& m, VerifyMode mode = VerifyMode::Legacy)
-      : macro_(m), mode_(mode) {}
+  explicit MacroController(ImcMacro& m) : macro_(m) {}
 
-  /// Throws std::invalid_argument (with the offending instruction index) if
-  /// any instruction is malformed for this macro.
-  void validate(const Program& p) const;
-
-  /// Checks (per VerifyMode) and runs; returns stats. If `trace` is
-  /// non-null, appends one entry per instruction. Rejected programs leave
-  /// the macro untouched.
+  /// Runs `vp`; returns stats. If `trace` is non-null, appends one entry per
+  /// instruction. Throws std::invalid_argument, with the macro untouched,
+  /// when `vp` was verified against a different array geometry.
   ///
   /// With `fuse_mac_chains` set, back-to-back MULTs at one precision run on
   /// the chained datapath: the FF load of cycle 1 overlaps the predecessor's
@@ -141,16 +132,11 @@ class MacroController {
   /// skip staging and iterations outright (skip_zero). Outputs stay
   /// bit-identical; the saved cycles land in adaptive_cycles_saved with
   /// static == cycles + fused + adaptive asserted per instruction.
-  ProgramStats run(const Program& p, std::vector<TraceEntry>* trace = nullptr,
+  ProgramStats run(const VerifiedProgram& vp, std::vector<TraceEntry>* trace = nullptr,
                    bool fuse_mac_chains = false, const AdaptivePolicy& policy = {});
 
-  [[nodiscard]] VerifyMode mode() const { return mode_; }
-
  private:
-  void check_row(const array::RowRef& r, std::size_t index) const;
-
   ImcMacro& macro_;
-  const VerifyMode mode_;
 };
 
 }  // namespace bpim::macro

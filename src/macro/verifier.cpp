@@ -1,7 +1,10 @@
 #include "macro/verifier.hpp"
 
 #include <sstream>
+#include <stdexcept>
 #include <unordered_map>
+
+#include "obs/metrics.hpp"
 
 namespace bpim::macro {
 
@@ -34,8 +37,10 @@ bool field_structured_read(Op op) {
   return op == Op::Add || op == Op::AddShift || op == Op::Sub || op == Op::Shift;
 }
 
-std::string row_name(const array::RowRef& r) {
-  return std::string(r.is_dummy() ? "D" : "R") + std::to_string(r.index);
+obs::Counter& verify_rejected_counter() {
+  static obs::Counter& c = obs::MetricsRegistry::global().counter(
+      "macro.verify.rejected", "programs the verifier refused to seal for execution");
+  return c;
 }
 
 /// What the verifier remembers about one row between instructions.
@@ -87,7 +92,7 @@ class Checker {
   bool check_bounds(std::size_t k, const array::RowRef& r, const char* role) {
     if (in_range(r)) return true;
     std::ostringstream os;
-    os << role << " row " << row_name(r) << " out of range ("
+    os << role << " row " << to_string(r) << " out of range ("
        << (r.is_dummy() ? geom_.dummy_rows : geom_.rows) << " "
        << (r.is_dummy() ? "dummy" : "main") << " rows)";
     diag(Severity::Error, DiagKind::RowOutOfRange, k, os.str());
@@ -100,14 +105,14 @@ class Checker {
     RowState& st = rows_[key(r)];
     if (st.clobbered) {
       std::ostringstream os;
-      os << "reads " << row_name(r) << ", whose value from instruction " << st.last_def
+      os << "reads " << to_string(r) << ", whose value from instruction " << st.last_def
          << " was clobbered by implicit scratch traffic of instruction " << st.clobberer;
       diag(Severity::Warning, DiagKind::RawHazard, k, os.str());
       st.clobbered = false;  // one report per lost definition
     }
     if (read_bits != 0 && st.write_bits != 0 && st.write_bits != read_bits) {
       std::ostringstream os;
-      os << "reads " << row_name(r) << " as " << read_bits << "-bit fields, but instruction "
+      os << "reads " << to_string(r) << " as " << read_bits << "-bit fields, but instruction "
          << st.last_def << " wrote it as " << st.write_bits << "-bit fields";
       diag(Severity::Warning, DiagKind::PrecisionMismatch, k, os.str());
     }
@@ -120,7 +125,7 @@ class Checker {
     RowState& st = rows_[key(r)];
     if (st.has_explicit_def && !st.read_since_def && !st.clobbered) {
       std::ostringstream os;
-      os << "overwrites " << row_name(r) << " before the value written by instruction "
+      os << "overwrites " << to_string(r) << " before the value written by instruction "
          << st.last_def << " was read";
       diag(Severity::Warning, DiagKind::WawHazard, k, os.str());
     }
@@ -153,7 +158,7 @@ class Checker {
     for (const PinnedRows& iv : pinned_) {
       if (r.index < iv.first_row || r.index >= iv.first_row + iv.row_count) continue;
       std::ostringstream os;
-      os << "destination " << row_name(r) << " lies inside the pinned interval ["
+      os << "destination " << to_string(r) << " lies inside the pinned interval ["
          << iv.first_row << ", " << iv.first_row + iv.row_count
          << ") -- the write would corrupt a resident operand";
       diag(Severity::Error, DiagKind::ResidentClobber, k, os.str());
@@ -170,7 +175,7 @@ class Checker {
       check_bounds(k, i.b, "operand");
       if (i.a == i.b)
         diag(Severity::Error, DiagKind::IdenticalRows, k,
-             "dual-WL op senses " + row_name(i.a) + " against itself");
+             "dual-WL op senses " + to_string(i.a) + " against itself");
     }
     if (i.dest) check_bounds(k, *i.dest, "destination");
 
@@ -184,7 +189,7 @@ class Checker {
       for (const auto* r : {&i.a, &i.b}) {
         if (r->is_dummy() && (r->index == kD1 || r->index == kD2))
           diag(Severity::Error, DiagKind::RoleViolation, k,
-               "MULT operand " + row_name(*r) + " overlaps the op's scratch rows (D1/D2)");
+               "MULT operand " + to_string(*r) + " overlaps the op's scratch rows (D1/D2)");
       }
     }
     if (i.op == Op::Sub && i.a.is_dummy() && i.a.index == kD1)
@@ -344,6 +349,20 @@ VerifyReport verify_program(const Program& p, const array::ArrayGeometry& g,
 
 VerifyReport verify_program(const Program& p, const ImcMacro& m, const VerifyLimits& limits) {
   return verify_program(p, m.config().geometry, limits);
+}
+
+VerifiedProgram verify(Program p, const array::ArrayGeometry& g,
+                       std::span<const PinnedRows> pinned, Severity reject_at) {
+  const VerifyReport rep = verify_program(p, g, pinned);
+  if (rep.errors != 0 || (reject_at == Severity::Warning && rep.warnings != 0)) {
+    verify_rejected_counter().add();
+    std::ostringstream os;
+    os << "program rejected by verifier (" << rep.errors << " error(s), " << rep.warnings
+       << " warning(s)):\n"
+       << rep.annotate(p);
+    throw std::invalid_argument(os.str());
+  }
+  return VerifiedProgram(std::move(p), g);
 }
 
 }  // namespace bpim::macro

@@ -1,12 +1,13 @@
 #pragma once
 // Static verifier for macro::Program -- the compile-time contract of the
-// row-level ISA. Where MacroController::validate throws on the first
-// malformed instruction, the verifier checks a whole program against an
-// array geometry *before* any state is touched and returns a structured
-// diagnostics list (severity, instruction index, message), so a macro
-// compiler (the planned fusion path that emits Programs at pin time) can
-// report every fault of an emitted program at once and tests can assert on
-// diagnostic kinds instead of string-matching exception text.
+// row-level ISA and the one place a program is checked. It checks a whole
+// program against an array geometry *before* any state is touched and
+// returns a structured diagnostics list (severity, instruction index,
+// message), so a macro compiler can report every fault of an emitted
+// program at once and tests can assert on diagnostic kinds instead of
+// string-matching exception text. macro::verify() seals an accepted program
+// as a VerifiedProgram -- the only type MacroController::run accepts -- so
+// a program is verified once, when it is built, and never again per run.
 //
 // Checked, per instruction:
 //   * row bounds against the geometry (main rows and dummy rows);
@@ -35,6 +36,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "array/sram_array.hpp"
@@ -96,7 +98,7 @@ struct VerifyReport {
   [[nodiscard]] bool ok() const { return errors == 0; }
   /// One line per diagnostic ("error[kind] @#i: message").
   [[nodiscard]] std::string to_string() const;
-  /// Like to_string() but Errors only -- the verify-first rejection text.
+  /// Like to_string() but Errors only.
   [[nodiscard]] std::string error_summary() const;
   /// Program::dump() with each instruction's diagnostics interleaved under
   /// it -- the debuggable form of a rejected fused program.
@@ -117,5 +119,34 @@ struct VerifyReport {
 /// Convenience: verify against a live macro's geometry.
 [[nodiscard]] VerifyReport verify_program(const Program& p, const ImcMacro& m,
                                           const VerifyLimits& limits = {});
+
+/// A Program the verifier accepted, together with the geometry it was
+/// checked against. Only verify() constructs one, so holding a
+/// VerifiedProgram proves the check ran; MacroController::run takes nothing
+/// else and re-checks only that its macro has this geometry.
+class VerifiedProgram {
+ public:
+  [[nodiscard]] const Program& program() const { return program_; }
+  [[nodiscard]] const array::ArrayGeometry& geometry() const { return geometry_; }
+
+ private:
+  friend VerifiedProgram verify(Program, const array::ArrayGeometry&,
+                                std::span<const PinnedRows>, Severity);
+  VerifiedProgram(Program p, const array::ArrayGeometry& g)
+      : program_(std::move(p)), geometry_(g) {}
+
+  Program program_;
+  array::ArrayGeometry geometry_;
+};
+
+/// Verify `p` against `g` (and the pinned intervals) and seal it -- the one
+/// way to make a VerifiedProgram. Rejects any program with a diagnostic at
+/// or above `reject_at`: Severity::Error lets hazard warnings through;
+/// Severity::Warning demands a clean report (the compilers' bar). A
+/// rejection bumps the macro.verify.rejected counter and throws
+/// std::invalid_argument quoting the annotated disassembly.
+[[nodiscard]] VerifiedProgram verify(Program p, const array::ArrayGeometry& g,
+                                     std::span<const PinnedRows> pinned = {},
+                                     Severity reject_at = Severity::Error);
 
 }  // namespace bpim::macro

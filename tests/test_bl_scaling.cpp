@@ -7,6 +7,7 @@
 #include "common/rng.hpp"
 #include "macro/memory.hpp"
 #include "macro/program.hpp"
+#include "macro/verifier.hpp"
 #include "timing/bl_compute.hpp"
 
 namespace bpim {
@@ -92,7 +93,7 @@ TEST(ProgramCycles, StaticEstimateMatchesExecution) {
       .sub(array::RowRef::main(2), array::RowRef::main(3), 16)
       .mult(array::RowRef::main(4), array::RowRef::main(5), 4)
       .unary(macro::Op::Copy, array::RowRef::main(6), array::RowRef::dummy(0), 8);
-  const auto stats = ctl.run(p);
+  const auto stats = ctl.run(macro::verify(p, m.config().geometry));
   EXPECT_EQ(stats.cycles, p.static_cycles());
 }
 

@@ -7,6 +7,7 @@
 #include "macro/compiler.hpp"
 #include "macro/program.hpp"
 #include "macro/verifier.hpp"
+#include "obs/metrics.hpp"
 
 namespace bpim::macro {
 namespace {
@@ -22,7 +23,7 @@ TEST(FusionCompiler, MacForwardEmitsOneMultPerStepZeroDiagnostics) {
   // One activation row (0) against three weight rows -- the adjacency that
   // unlocks the chained-datapath discount.
   spec.steps = {{0, 10}, {0, 12}, {0, 14}};
-  const Program p = fc.compile_mac_forward(spec);
+  const Program p = fc.compile_mac_forward(spec).program();
   ASSERT_EQ(p.size(), 3u);
   for (const Instruction& i : p.instructions()) {
     EXPECT_EQ(i.op, Op::Mult);
@@ -40,7 +41,7 @@ TEST(FusionCompiler, FusedStaticCyclesDiscountsChainedMacs) {
   MacForwardSpec spec;
   spec.bits = 8;  // MULT = N + 2 = 10 cycles per Table 1
   spec.steps = {{0, 10}, {0, 12}, {2, 14}};
-  const Program p = fc.compile_mac_forward(spec);
+  const Program p = fc.compile_mac_forward(spec).program();
   // #0 full price; #1 pipelined (-1) and D1-staged (-1, same a_row); #2
   // pipelined only (new activation row re-stages D1).
   EXPECT_EQ(p.static_cycles(), 30u);
@@ -88,7 +89,7 @@ TEST(FusionCompiler, ChainEmissionShapesLinksAroundD2) {
   layer.b_row = 1;
   layer.links = {{ChainLinkKind::Add, 2}, {ChainLinkKind::Add, 3}};
   spec.layers = {layer};
-  const Program p = fc.compile_chain(spec);
+  const Program p = fc.compile_chain(spec).program();
   ASSERT_EQ(p.size(), 3u);
   EXPECT_EQ(p.instructions()[0].op, Op::Mult);
   // Intermediate link accumulates back into D2; final link drives out.
@@ -107,7 +108,7 @@ TEST(FusionCompiler, DumpNamesOpsRowsAndRoles) {
   MacForwardSpec spec;
   spec.bits = 8;
   spec.steps = {{0, 10}};
-  const std::string text = fc.compile_mac_forward(spec).dump();
+  const std::string text = fc.compile_mac_forward(spec).program().dump();
   EXPECT_NE(text.find("MULT"), std::string::npos) << text;
   EXPECT_NE(text.find("R0"), std::string::npos) << text;
   EXPECT_NE(text.find("R10"), std::string::npos) << text;
@@ -133,7 +134,7 @@ TEST(FusionCompiler, RejectsDegenerateSpecs) {
 TEST(FusionCompiler, FuzzedSpecsAlwaysEmitZeroDiagnosticPrograms) {
   // The tentpole's contract: whatever layout the engine asks for, the
   // emitted program must survive the residency-aware verifier with zero
-  // diagnostics -- warnings included -- and execute under VerifyFirst.
+  // diagnostics -- warnings included.
   const ArrayGeometry g{};
   bpim::Rng rng(0xF05Ed);
   const unsigned precisions[] = {2, 4, 8, 16};
@@ -152,7 +153,7 @@ TEST(FusionCompiler, FuzzedSpecsAlwaysEmitZeroDiagnosticPrograms) {
       for (std::size_t l = 0; l < layers; ++l)
         for (std::size_t j = 0; j < ops; ++j)
           spec.steps.push_back({2 * l, pinned_base + 2 * ((j + l) % (pinned_rows / 2))});
-      const Program p = fc.compile_mac_forward(spec);
+      const Program p = fc.compile_mac_forward(spec).program();
       const VerifyReport rep =
           verify_program(p, g, std::span<const PinnedRows>(fc.pinned()));
       EXPECT_EQ(rep.errors, 0u) << rep.annotate(p);
@@ -176,7 +177,7 @@ TEST(FusionCompiler, FuzzedSpecsAlwaysEmitZeroDiagnosticPrograms) {
         }
         spec.layers.push_back(std::move(layer));
       }
-      const Program p = fc.compile_chain(spec);
+      const Program p = fc.compile_chain(spec).program();
       const VerifyReport rep =
           verify_program(p, g, std::span<const PinnedRows>(fc.pinned()));
       EXPECT_EQ(rep.errors, 0u) << rep.annotate(p);
@@ -186,8 +187,8 @@ TEST(FusionCompiler, FuzzedSpecsAlwaysEmitZeroDiagnosticPrograms) {
 }
 
 TEST(FusionCompiler, FuzzedForwardExecutesBitIdenticalToReference) {
-  // Execute fuzzed MAC-forward programs on a live macro under VerifyFirst
-  // and check every traced product against host arithmetic.
+  // Execute fuzzed MAC-forward programs on a live macro and check every
+  // traced product against host arithmetic.
   ImcMacro m{MacroConfig{}};
   const std::size_t units = m.mult_units_per_row(8);
   bpim::Rng rng(0xBEEF);
@@ -206,11 +207,11 @@ TEST(FusionCompiler, FuzzedForwardExecutesBitIdenticalToReference) {
       spec.steps.push_back({0, 2 * (j + 1)});
     }
     const FusionCompiler fc(m.config().geometry);
-    const Program p = fc.compile_mac_forward(spec);
-    MacroController ctl(m, VerifyMode::VerifyFirst);
+    const VerifiedProgram vp = fc.compile_mac_forward(spec);
+    MacroController ctl(m);
     std::vector<TraceEntry> trace;
-    const ProgramStats stats = ctl.run(p, &trace, /*fuse_mac_chains=*/true);
-    EXPECT_EQ(stats.cycles + stats.fused_cycles_saved, p.static_cycles());
+    const ProgramStats stats = ctl.run(vp, &trace, /*fuse_mac_chains=*/true);
+    EXPECT_EQ(stats.cycles + stats.fused_cycles_saved, vp.program().static_cycles());
     ASSERT_EQ(trace.size(), ops);
     for (std::size_t j = 0; j < ops; ++j)
       for (std::size_t i = 0; i < units; ++i)
@@ -226,12 +227,12 @@ TEST(OpCompiler, EmitsVerifiedSingleOpProgramsForEveryKind) {
   const RowRef d1 = RowRef::dummy(1);
   const RowRef d2 = RowRef::dummy(2);
   const Program* programs[] = {
-      &oc.add(RowRef::main(0), RowRef::main(1), 8),
-      &oc.sub(RowRef::main(0), RowRef::main(1), 8),
-      &oc.mult(RowRef::main(0), RowRef::main(1), 8),
-      &oc.add_shift(RowRef::main(0), RowRef::main(1), 8, d2),
-      &oc.unary(Op::Not, RowRef::main(0), d1, 8),
-      &oc.logic(periph::LogicFn::Xor, RowRef::main(0), RowRef::main(1)),
+      &oc.add(RowRef::main(0), RowRef::main(1), 8).program(),
+      &oc.sub(RowRef::main(0), RowRef::main(1), 8).program(),
+      &oc.mult(RowRef::main(0), RowRef::main(1), 8).program(),
+      &oc.add_shift(RowRef::main(0), RowRef::main(1), 8, d2).program(),
+      &oc.unary(Op::Not, RowRef::main(0), d1, 8).program(),
+      &oc.logic(periph::LogicFn::Xor, RowRef::main(0), RowRef::main(1)).program(),
   };
   for (const Program* p : programs) {
     ASSERT_EQ(p->size(), 1u);
@@ -246,7 +247,7 @@ TEST(OpCompiler, EmitsVerifiedSingleOpProgramsForEveryKind) {
 TEST(OpCompiler, CachesByKindBitsAndPlacement) {
   const ArrayGeometry g{};
   OpCompiler oc(g);
-  const Program& first = oc.add(RowRef::main(0), RowRef::main(1), 8);
+  const VerifiedProgram& first = oc.add(RowRef::main(0), RowRef::main(1), 8);
   // Same (kind, bits, rows) -> the identical cached object, counted as a hit.
   EXPECT_EQ(&oc.add(RowRef::main(0), RowRef::main(1), 8), &first);
   // Different bits or placement -> distinct programs, counted as misses.
@@ -259,10 +260,14 @@ TEST(OpCompiler, CachesByKindBitsAndPlacement) {
 
 TEST(OpCompiler, RejectsVerifierDiagnosticsAndPinnedClobber) {
   const ArrayGeometry g{};
-  // Dual-WL compute needs two distinct rows; same-row draws a diagnostic.
+  // Dual-WL compute needs two distinct rows; same-row draws a diagnostic,
+  // counted once as a verifier rejection.
   OpCompiler plain(g);
+  const obs::Counter& rejected = obs::MetricsRegistry::global().counter("macro.verify.rejected");
+  const std::uint64_t before = rejected.value();
   EXPECT_THROW((void)plain.add(RowRef::main(3), RowRef::main(3), 8),
                std::invalid_argument);
+  EXPECT_EQ(rejected.value(), before + 1);
 
   // Rows [100, 120) pinned: reading them is fine, writing them is not.
   OpCompiler oc(g, {{100, 20}});

@@ -127,7 +127,7 @@ TEST(FuzzPrograms, RandomStreamsMatchReferenceMachine) {
   for (int round = 0; round < 12; ++round) {
     ImcMacro macro{MacroConfig{}};
     ReferenceMachine ref(macro.cols());
-    MacroController ctl(macro, VerifyMode::VerifyFirst);
+    MacroController ctl(macro);
 
     // Seed six main rows with random data in both machines.
     for (std::size_t r = 0; r < 6; ++r) {
@@ -161,7 +161,7 @@ TEST(FuzzPrograms, RandomStreamsMatchReferenceMachine) {
     ASSERT_TRUE(rep.ok()) << "round " << round << ":\n" << rep.to_string();
 
     std::vector<TraceEntry> trace;
-    ctl.run(p, &trace);
+    ctl.run(verify(p, macro.config().geometry), &trace);
     ASSERT_EQ(trace.size(), p.size());
     for (std::size_t k = 0; k < trace.size(); ++k) {
       const BitVector want = ref.exec(trace[k].inst);
@@ -177,7 +177,6 @@ TEST(FuzzPrograms, CorruptedStreamsAreRejectedBeforeExecution) {
   Rng rng(0xDEAD);
   for (int round = 0; round < 12; ++round) {
     ImcMacro macro{MacroConfig{}};
-    MacroController ctl(macro, VerifyMode::VerifyFirst);
 
     // A short valid prefix, then one corrupted instruction mid-stream.
     Program p;
@@ -213,8 +212,9 @@ TEST(FuzzPrograms, CorruptedStreamsAreRejectedBeforeExecution) {
 
     const VerifyReport rep = verify_program(p, macro);
     EXPECT_FALSE(rep.ok()) << "round " << round << ": corruption not caught";
-    EXPECT_THROW(ctl.run(p), std::invalid_argument);
-    // Rejected whole: the valid prefix never executed either.
+    // Rejected whole: no VerifiedProgram exists, so not even the valid
+    // prefix can reach the macro.
+    EXPECT_THROW((void)verify(p, macro.config().geometry), std::invalid_argument);
     EXPECT_EQ(macro.total_cycles(), 0u) << "round " << round;
   }
 }

@@ -4,7 +4,7 @@
 // storage word and precisions that do not divide 64 (the chunked fallback).
 //
 // The program-path sweep at the bottom runs every op kind through the
-// unified execution model (OpCompiler -> VerifyFirst MacroController)
+// unified execution model (OpCompiler -> MacroController)
 // against a twin macro driven by direct datapath calls AND against the
 // naive per-bit oracles -- the differential that keeps the refactored
 // dispatch honest.
@@ -16,6 +16,7 @@
 #include "macro/compiler.hpp"
 #include "macro/imc_macro.hpp"
 #include "macro/program.hpp"
+#include "macro/verifier.hpp"
 #include "periph/falogics.hpp"
 
 namespace bpim {
@@ -165,8 +166,8 @@ TEST(HotPathDiff, ShiftAndAddShiftMatchPerBitSemantics) {
 
 TEST(HotPathDiff, ProgramPathMatchesDirectDatapathAndOracles) {
   // Unified execution model differential: every op kind x precision x random
-  // row placement, compiled by OpCompiler and executed through a VerifyFirst
-  // controller on one macro, against the same sequence of direct datapath
+  // row placement, compiled and verified by OpCompiler and executed through
+  // a controller on one macro, against the same sequence of direct datapath
   // calls on a twin macro (same config -> identical state evolution). The
   // driven-out rows must match bitwise, per-op cycles/energy must match the
   // twin's ledger exactly, and each result must also agree with the
@@ -182,7 +183,7 @@ TEST(HotPathDiff, ProgramPathMatchesDirectDatapathAndOracles) {
     macro::ImcMacro direct{cfg};
     macro::ImcMacro programmed{cfg};
     macro::OpCompiler compiler(cfg.geometry);
-    macro::MacroController ctl(programmed, macro::VerifyMode::VerifyFirst);
+    macro::MacroController ctl(programmed);
     for (const K kind : {K::Add, K::Sub, K::Mult, K::AddShift, K::Not, K::Logic}) {
       for (int rep = 0; rep < 6; ++rep) {
         std::size_t ri_a = rng.next_u64() % rows;
@@ -197,7 +198,7 @@ TEST(HotPathDiff, ProgramPathMatchesDirectDatapathAndOracles) {
         }
         const RowRef a = RowRef::main(ri_a);
         const RowRef b = RowRef::main(ri_b);
-        const macro::Program* prog = nullptr;
+        const macro::VerifiedProgram* prog = nullptr;
         BitVector want;
         switch (kind) {
           case K::Add:
@@ -329,8 +330,8 @@ TEST(HotPathDiff, AdaptiveExecutionIsBitIdenticalAcrossOpsAndSparsity) {
         macro::ImcMacro full{cfg};
         macro::ImcMacro adapt{cfg};
         macro::OpCompiler compiler(cfg.geometry);
-        macro::MacroController full_ctl(full, macro::VerifyMode::VerifyFirst);
-        macro::MacroController adapt_ctl(adapt, macro::VerifyMode::VerifyFirst);
+        macro::MacroController full_ctl(full);
+        macro::MacroController adapt_ctl(adapt);
         for (const K kind : {K::Add, K::Sub, K::Mult, K::AddShift, K::Not, K::Logic}) {
           for (int rep = 0; rep < 4; ++rep) {
             const RowRef a = RowRef::main(0);
@@ -355,7 +356,7 @@ TEST(HotPathDiff, AdaptiveExecutionIsBitIdenticalAcrossOpsAndSparsity) {
             }
             const BitVector row_a = full.peek_row(0);
             const BitVector row_b = full.peek_row(1);
-            const macro::Program* prog = nullptr;
+            const macro::VerifiedProgram* prog = nullptr;
             switch (kind) {
               case K::Add: prog = &compiler.add(a, b, bits); break;
               case K::Sub: prog = &compiler.sub(a, b, bits); break;
@@ -379,7 +380,7 @@ TEST(HotPathDiff, AdaptiveExecutionIsBitIdenticalAcrossOpsAndSparsity) {
             // Exact cycle conservation: the policy-off twin pays Table 1 in
             // full, and the adaptive run splits the same total.
             EXPECT_EQ(fs.adaptive_cycles_saved, 0u) << what;
-            EXPECT_EQ(fs.cycles, prog->static_cycles()) << what;
+            EXPECT_EQ(fs.cycles, prog->program().static_cycles()) << what;
             EXPECT_EQ(as.cycles + as.adaptive_cycles_saved, fs.cycles) << what;
             EXPECT_EQ(at.back().adaptive_cycles_saved, as.adaptive_cycles_saved) << what;
             EXPECT_LE(as.energy.si(), fs.energy.si()) << what;
@@ -400,10 +401,11 @@ TEST(HotPathDiff, AdaptiveNarrowingAndSkipSaveExactCycles) {
   const unsigned bits = 8;
   const macro::AdaptivePolicy policy{true, true};
   macro::ImcMacro m{cfg};
-  macro::MacroController ctl(m, macro::VerifyMode::VerifyFirst);
+  macro::MacroController ctl(m);
   const std::size_t units = m.mult_units_per_row(bits);
-  macro::Program prog;
-  prog.mult(RowRef::main(0), RowRef::main(1), bits);
+  macro::Program mult;
+  mult.mult(RowRef::main(0), RowRef::main(1), bits);
+  const macro::VerifiedProgram prog = macro::verify(std::move(mult), cfg.geometry);
 
   // All-zero multiplicand: every product is provably zero, so the MULT
   // collapses to its single zero-init cycle and skips staging outright.
@@ -441,8 +443,8 @@ TEST(HotPathDiff, AdaptiveFusedChainStaysBitIdenticalAndConserving) {
   const unsigned bits = 8;
   macro::ImcMacro full{cfg};
   macro::ImcMacro adapt{cfg};
-  macro::MacroController full_ctl(full, macro::VerifyMode::VerifyFirst);
-  macro::MacroController adapt_ctl(adapt, macro::VerifyMode::VerifyFirst);
+  macro::MacroController full_ctl(full);
+  macro::MacroController adapt_ctl(adapt);
   const std::size_t units = full.mult_units_per_row(bits);
   for (std::size_t u = 0; u < units; ++u) {
     const std::uint64_t a = 1 + (rng.next_u64() & 0xFE);
@@ -455,9 +457,10 @@ TEST(HotPathDiff, AdaptiveFusedChainStaysBitIdenticalAndConserving) {
       m->poke_mult_operand(3, u, bits, b3);
     }
   }
-  macro::Program prog;
+  macro::Program chain;
   for (std::size_t r = 1; r <= 3; ++r)
-    prog.mult(RowRef::main(0), RowRef::main(r), bits);
+    chain.mult(RowRef::main(0), RowRef::main(r), bits);
+  const macro::VerifiedProgram prog = macro::verify(std::move(chain), cfg.geometry);
 
   std::vector<macro::TraceEntry> ft, at;
   const macro::ProgramStats fs = full_ctl.run(prog, &ft);
@@ -471,9 +474,9 @@ TEST(HotPathDiff, AdaptiveFusedChainStaysBitIdenticalAndConserving) {
               naive_mult_datapath(full.peek_row(0), full.peek_row(k + 1), bits))
         << "link " << k;
   }
-  EXPECT_EQ(fs.cycles, prog.static_cycles());
+  EXPECT_EQ(fs.cycles, prog.program().static_cycles());
   EXPECT_EQ(as.cycles + as.fused_cycles_saved + as.adaptive_cycles_saved,
-            prog.static_cycles());
+            prog.program().static_cycles());
   EXPECT_GT(as.fused_cycles_saved, 0u);
   EXPECT_GT(as.adaptive_cycles_saved, 0u);
 }

@@ -10,6 +10,7 @@
 #include "macro/cost_model.hpp"
 #include "macro/imc_macro.hpp"
 #include "macro/program.hpp"
+#include "macro/verifier.hpp"
 
 namespace bpim::macro {
 namespace {
@@ -70,7 +71,7 @@ TEST(MacroAccounting, ProgramTotalsConserveLedgerTotalsExactly) {
   // by run() must equal the executing macro's ledger: cycles as integers,
   // energy bitwise (the CostModel replays the exact charge fold).
   ImcMacro m{MacroConfig{}};
-  MacroController ctl(m, VerifyMode::VerifyFirst);
+  MacroController ctl(m);
   Program p;
   p.add(RowRef::main(0), RowRef::main(1), 8);
   p.sub(RowRef::main(2), RowRef::main(3), 8);
@@ -79,7 +80,7 @@ TEST(MacroAccounting, ProgramTotalsConserveLedgerTotalsExactly) {
   p.unary(Op::Not, RowRef::main(8), RowRef::dummy(ImcMacro::kDummyOperand), 8);
   p.unary(Op::Shift, RowRef::main(9), RowRef::dummy(ImcMacro::kDummyOperand), 8);
   p.logic(periph::LogicFn::Xor, RowRef::main(10), RowRef::main(11));
-  const ProgramStats stats = ctl.run(p);
+  const ProgramStats stats = ctl.run(verify(p, m.config().geometry));
   EXPECT_EQ(stats.instructions, 7u);
   EXPECT_EQ(stats.cycles, m.total_cycles());
   EXPECT_EQ(stats.energy.si(), m.total_energy().si());  // bitwise, not NEAR
@@ -99,12 +100,13 @@ TEST(MacroAccounting, FusedChainTotalsConserveLedgerTotals) {
   // staging); the per-instruction pricing must track the executed datapath
   // through every discount combination.
   ImcMacro m{MacroConfig{}};
-  MacroController ctl(m, VerifyMode::VerifyFirst);
+  MacroController ctl(m);
   Program p;
   p.mult(RowRef::main(0), RowRef::main(1), 8);  // full price (N + 2)
   p.mult(RowRef::main(0), RowRef::main(3), 8);  // pipelined + D1-staged (-2)
   p.mult(RowRef::main(4), RowRef::main(5), 8);  // pipelined only (-1)
-  const ProgramStats stats = ctl.run(p, nullptr, /*fuse_mac_chains=*/true);
+  const ProgramStats stats =
+      ctl.run(verify(p, m.config().geometry), nullptr, /*fuse_mac_chains=*/true);
   EXPECT_EQ(stats.cycles, m.total_cycles());
   EXPECT_EQ(stats.energy.si(), m.total_energy().si());
   EXPECT_EQ(stats.fused_cycles_saved, 3u);

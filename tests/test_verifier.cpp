@@ -1,17 +1,19 @@
 // Static program verifier: every diagnostic kind has a program that
-// triggers it, builder-produced programs are accepted, and the controller's
-// verify-first mode matches legacy execution on valid programs while
-// rejecting bad ones before the macro is touched.
+// triggers it, builder-produced programs are accepted, only verify() can
+// seal a program for execution, and the controller runs a sealed program
+// only on a macro of the geometry it was verified against.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/rng.hpp"
 #include "macro/program.hpp"
 #include "macro/verifier.hpp"
+#include "obs/metrics.hpp"
 
 namespace bpim::macro {
 namespace {
@@ -21,6 +23,16 @@ using array::RowRef;
 using periph::LogicFn;
 
 ArrayGeometry default_geometry() { return MacroConfig{}.geometry; }
+
+// The contract lives in the types: a Program becomes a VerifiedProgram only
+// through verify(), and MacroController::run accepts nothing else.
+static_assert(!std::is_constructible_v<VerifiedProgram, Program>);
+static_assert(!std::is_constructible_v<VerifiedProgram, Program, ArrayGeometry>);
+
+template <class P>
+concept Runnable = requires(MacroController& ctl, const P& p) { ctl.run(p); };
+static_assert(Runnable<VerifiedProgram>);
+static_assert(!Runnable<Program>);
 
 bool has(const VerifyReport& r, DiagKind kind) {
   return std::any_of(r.diagnostics.begin(), r.diagnostics.end(),
@@ -267,49 +279,62 @@ TEST(Verifier, AcceptsRandomBuilderPrograms) {
   }
 }
 
-TEST(Verifier, VerifyFirstControllerMatchesLegacy) {
-  Program p;
-  p.add(RowRef::main(0), RowRef::main(1), 8, RowRef::dummy(0))
-      .sub(RowRef::main(2), RowRef::main(3), 8)
-      .mult(RowRef::main(4), RowRef::main(5), 8)
-      .unary(Op::Not, RowRef::main(0), RowRef::dummy(0), 8);
-
-  ImcMacro legacy_macro{MacroConfig{}};
-  ImcMacro verified_macro{MacroConfig{}};
-  Rng rng(0xBEEF);
-  for (std::size_t r = 0; r < 6; ++r) {
-    BitVector data(legacy_macro.cols());
-    data.randomize(rng);
-    legacy_macro.poke_row(r, data);
-    verified_macro.poke_row(r, data);
-  }
-
-  MacroController legacy(legacy_macro);
-  MacroController verified(verified_macro, VerifyMode::VerifyFirst);
-  std::vector<TraceEntry> lt, vt;
-  const ProgramStats ls = legacy.run(p, &lt);
-  const ProgramStats vs = verified.run(p, &vt);
-
-  EXPECT_EQ(ls.cycles, vs.cycles);
-  EXPECT_EQ(ls.instructions, vs.instructions);
-  ASSERT_EQ(lt.size(), vt.size());
-  for (std::size_t k = 0; k < lt.size(); ++k) EXPECT_EQ(lt[k].result, vt[k].result);
-}
-
-TEST(Verifier, VerifyFirstRejectsBeforeTouchingTheMacro) {
+TEST(Verifier, VerifyRejectsBeforeTouchingTheMacro) {
   Program p;
   p.add(RowRef::main(0), RowRef::main(1), 8)
       .mult(RowRef::dummy(1), RowRef::main(2), 8);  // role violation at #1
 
   ImcMacro macro{MacroConfig{}};
-  MacroController ctl(macro, VerifyMode::VerifyFirst);
-  EXPECT_THROW(ctl.run(p), std::invalid_argument);
+  const obs::Counter& rejected = obs::MetricsRegistry::global().counter("macro.verify.rejected");
+  const std::uint64_t before = rejected.value();
+  EXPECT_THROW((void)verify(p, macro.config().geometry), std::invalid_argument);
+  EXPECT_EQ(rejected.value(), before + 1);
   EXPECT_EQ(macro.total_cycles(), 0u);  // nothing executed, not even #0
+}
 
-  // Legacy validate() does not know role rules: this program would have
-  // started executing. VerifyFirst is strictly stricter.
-  MacroController legacy(macro);
-  EXPECT_NO_THROW(legacy.validate(p));
+TEST(Verifier, VerifyRejectsWarningsOnlyAtWarningSeverity) {
+  Program p;
+  p.unary(Op::Not, RowRef::main(0), RowRef::dummy(0), 8)
+      .unary(Op::Not, RowRef::main(1), RowRef::dummy(0), 8);  // WAW warning
+  EXPECT_NO_THROW((void)verify(p, default_geometry()));
+  EXPECT_THROW((void)verify(p, default_geometry(), {}, Severity::Warning),
+               std::invalid_argument);
+}
+
+TEST(Verifier, ControllerRejectsProgramVerifiedForAnotherGeometry) {
+  Program p;
+  p.add(RowRef::main(0), RowRef::main(1), 8, RowRef::dummy(0));
+
+  ImcMacro macro{MacroConfig{}};
+  Rng rng(0xC0DE);
+  for (std::size_t r = 0; r < 2; ++r) {
+    BitVector data(macro.cols());
+    data.randomize(rng);
+    macro.poke_row(r, data);
+  }
+  const BitVector row0 = macro.peek_row(0);
+  const BitVector row1 = macro.peek_row(1);
+  const BitVector dummy0 = macro.sram().row(RowRef::dummy(0));
+  MacroController ctl(macro);
+
+  // Any geometry field that differs from the macro's is a mismatch.
+  std::vector<ArrayGeometry> others(4, macro.config().geometry);
+  others[0].rows /= 2;
+  others[1].cols /= 2;
+  others[2].dummy_rows += 1;
+  others[3].interleave *= 2;
+  for (const ArrayGeometry& g : others) {
+    const VerifiedProgram foreign = verify(p, g);
+    EXPECT_THROW((void)ctl.run(foreign), std::invalid_argument);
+    EXPECT_EQ(macro.total_cycles(), 0u);
+    EXPECT_EQ(macro.peek_row(0), row0);
+    EXPECT_EQ(macro.peek_row(1), row1);
+    EXPECT_EQ(macro.sram().row(RowRef::dummy(0)), dummy0);
+  }
+
+  // The same program verified against this macro's geometry runs.
+  EXPECT_EQ(ctl.run(verify(p, macro.config().geometry)).instructions, 1u);
+  EXPECT_GT(macro.total_cycles(), 0u);
 }
 
 }  // namespace
