@@ -19,6 +19,7 @@
 //              operands built so nothing can narrow or skip: the planner
 //              scans and saves zero cycles, so ns/ref-ns is the pure host
 //              cost of the operand scan (must stay within 5% at 8-bit).
+//              Timed in alternation with the plain call, like mult_program.
 //   logic      ImcMacro::logic_rows (word-parallel before and after this PR;
 //              reported for the trajectory, no reference)
 //
@@ -152,11 +153,10 @@ std::vector<KernelResult> bench_kernels(std::size_t iters) {
     }
     const macro::AdaptivePolicy adaptive{true, true};
     KernelResult ma{"mult_adaptive_dense", bits, 0, 0};
-    ma.ns_per_op = time_ns(iters / 4 + 1, [&] {
-      (void)m.mult_rows(RowRef::main(0), RowRef::main(1), bits, adaptive);
-    });
-    ma.ref_ns_per_op = time_ns(
-        iters / 4 + 1, [&] { (void)m.mult_rows(RowRef::main(0), RowRef::main(1), bits); });
+    std::tie(ma.ns_per_op, ma.ref_ns_per_op) = time_pair_ns(
+        iters / 4 + 1,
+        [&] { (void)m.mult_rows(RowRef::main(0), RowRef::main(1), bits, adaptive); },
+        [&] { (void)m.mult_rows(RowRef::main(0), RowRef::main(1), bits); });
     out.push_back(ma);
 
     // The unified execution model's dispatch cost: the same MULT through a

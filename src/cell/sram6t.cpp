@@ -1,6 +1,8 @@
 #include "cell/sram6t.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/require.hpp"
 
@@ -25,65 +27,83 @@ CellMismatch CellMismatch::sample(Rng& rng, const CellGeometry& g,
   return mm;
 }
 
-Sram6tCell::Sram6tCell(const CellGeometry& g, const circuit::OperatingPoint& op,
-                       const CellMismatch& mm, const circuit::ProcessParams& p)
-    : op_(op),
-      access_(DeviceKind::Nmos, VtFlavor::Regular, g.w_access_um, op, p, mm.d_access),
+ReadPath::ReadPath(const CellGeometry& g, const circuit::OperatingPoint& op,
+                   const CellMismatch& mm, const circuit::ProcessParams& p)
+    : access_(DeviceKind::Nmos, VtFlavor::Regular, g.w_access_um, op, p, mm.d_access),
       pulldown_(DeviceKind::Nmos, VtFlavor::Regular, g.w_pulldown_um, op, p, mm.d_pulldown),
-      pullup_(DeviceKind::Pmos, VtFlavor::Regular, g.w_pullup_um, op, p, mm.d_pullup),
-      d_trip_(mm.d_trip) {
-  // Nominal inverter trip point: gate voltage where the (nominal-mismatch)
-  // pull-down saturation current equals the pull-up saturation current.
-  const double vdd = op.vdd.si();
-  double lo = 0.05, hi = vdd - 0.05;
-  for (int i = 0; i < 48; ++i) {
-    const double mid = 0.5 * (lo + hi);
-    const double i_dn = pulldown_.current(Volt(mid), Volt(vdd)).si();
-    const double i_up = pullup_.current(Volt(vdd - mid), Volt(vdd)).si();
-    (i_dn < i_up ? lo : hi) = mid;
-  }
-  trip_nominal_ = Volt(0.5 * (lo + hi));
-}
+      pulldown_on_(pulldown_.drive(op.vdd)) {}
 
-Ampere Sram6tCell::read_current(Volt v_wl, Volt v_bl) const {
+Ampere ReadPath::current(const Mosfet::Drive& access, Volt v_bl) const {
   if (v_bl.si() <= 0.0) return Ampere(0.0);
   // Series stack approximated by series conductances evaluated with the full
   // BL voltage across each device; pessimistic by < 2x and smooth, which is
   // what the transient solver needs.
-  const double i_acc = access_.current(v_wl, v_bl).si();
-  const double i_pd = pulldown_.current(op_.vdd, v_bl).si();
+  const double i_acc = Mosfet::current(access, v_bl).si();
+  const double i_pd = Mosfet::current(pulldown_on_, v_bl).si();
   if (i_acc <= 0.0 || i_pd <= 0.0) return Ampere(0.0);
   return Ampere(i_acc * i_pd / (i_acc + i_pd));
 }
+
+Sram6tCell::Sram6tCell(const CellGeometry& g, const circuit::OperatingPoint& op,
+                       const CellMismatch& mm, const circuit::ProcessParams& p)
+    : op_(op),
+      read_(g, op, mm, p),
+      pullup_(DeviceKind::Pmos, VtFlavor::Regular, g.w_pullup_um, op, p, mm.d_pullup),
+      pullup_on_(pullup_.drive(op.vdd)),
+      d_trip_(mm.d_trip) {}
+
+Volt Sram6tCell::trip_unless_below(double level) const {
+  // Inverter trip point: gate voltage where the pull-down saturation current
+  // equals the pull-up saturation current. Both are this sample's devices,
+  // mismatch included; d_trip then adds the opposite pair's lumped shift.
+  const double vdd = op_.vdd.si();
+  double lo = 0.05, hi = vdd - 0.05;
+  for (int i = 0; i < 48; ++i) {
+    // Each midpoint lies between lo and hi (inverted below a 0.1 V supply),
+    // so the bracket only narrows and the final trip can be no higher than
+    // its current top.
+    const double top = std::max(lo, hi) + d_trip_.si();
+    if (top <= level) return Volt(top);
+    const double mid = 0.5 * (lo + hi);
+    const double i_dn = read_.pulldown().current(Volt(mid), Volt(vdd)).si();
+    const double i_up = pullup_.current(Volt(vdd - mid), Volt(vdd)).si();
+    (i_dn < i_up ? lo : hi) = mid;
+  }
+  return Volt(0.5 * (lo + hi) + d_trip_.si());
+}
+
+Volt Sram6tCell::trip_low() const {
+  return trip_unless_below(-std::numeric_limits<double>::infinity());
+}
+Volt Sram6tCell::trip_high() const { return trip_low(); }
 
 Volt Sram6tCell::bump_voltage(Volt v_wl, Volt v_bl) const {
   // '0' node pulled up through the access device against the pull-down.
   double lo = 0.0, hi = v_bl.si();
   for (int i = 0; i < 40; ++i) {
     const double vx = 0.5 * (lo + hi);
-    const double i_up = access_.current(Volt(v_wl.si() - vx), Volt(v_bl.si() - vx)).si();
-    const double i_dn = pulldown_.current(op_.vdd, Volt(vx)).si();
+    const double i_up =
+        read_.access().current(Volt(v_wl.si() - vx), Volt(v_bl.si() - vx)).si();
+    const double i_dn = Mosfet::current(read_.pulldown_on(), Volt(vx)).si();
     (i_up > i_dn ? lo : hi) = vx;
   }
   return Volt(0.5 * (lo + hi));
 }
 
 Volt Sram6tCell::sag_voltage(Volt v_wl, Volt v_bl) const {
-  // '1' node pulled down toward a low BL against the pull-up.
+  // '1' node pulled down toward a low BL against the pull-up. The access
+  // source sits on the BL, so its gate drive is the same at every step.
   const double vdd = op_.vdd.si();
-  const double vgs_acc = v_wl.si() - v_bl.si();  // access source sits on the BL
+  const Mosfet::Drive access = read_.access().drive(Volt(v_wl.si() - v_bl.si()));
   double lo = v_bl.si(), hi = vdd;
   for (int i = 0; i < 40; ++i) {
     const double vq = 0.5 * (lo + hi);
-    const double i_dn = access_.current(Volt(vgs_acc), Volt(vq - v_bl.si())).si();
-    const double i_up = pullup_.current(op_.vdd, Volt(vdd - vq)).si();
+    const double i_dn = Mosfet::current(access, Volt(vq - v_bl.si())).si();
+    const double i_up = Mosfet::current(pullup_on_, Volt(vdd - vq)).si();
     (i_up > i_dn ? lo : hi) = vq;
   }
   return Volt(0.5 * (lo + hi));
 }
-
-Volt Sram6tCell::trip_low() const { return Volt(trip_nominal_.si() + d_trip_.si()); }
-Volt Sram6tCell::trip_high() const { return Volt(trip_nominal_.si() + d_trip_.si()); }
 
 Second Sram6tCell::regeneration_time(Volt disturbed, Volt trip) const {
   // First-order latch regeneration: tau scales with the inverse of the
@@ -96,7 +116,9 @@ Second Sram6tCell::regeneration_time(Volt disturbed, Volt trip) const {
 
 bool Sram6tCell::flips_with_low_bl(Volt v_wl, Volt v_bl, Second duration) const {
   const Volt vq = sag_voltage(v_wl, v_bl);
-  const Volt trip = trip_high();
+  // Most samples sag nowhere near the trip: stop bisecting once it is
+  // certain to lie at or below vq.
+  const Volt trip = trip_unless_below(vq.si());
   if (vq.si() >= trip.si()) return false;
   return duration.si() >= regeneration_time(vq, trip).si();
 }

@@ -50,6 +50,35 @@ struct CellMismatch {
                              const circuit::ProcessParams& p = circuit::default_process());
 };
 
+/// The discharge path of a cell storing '0': the access device in series
+/// with the pull-down, whose gate sits at VDD. A bit-line transient or a
+/// disturb aggressor needs only this, not the whole cell. The pull-down's
+/// drive is evaluated once here; a caller whose word line holds still can
+/// hold the access drive as well.
+class ReadPath {
+ public:
+  ReadPath(const CellGeometry& g, const circuit::OperatingPoint& op, const CellMismatch& mm = {},
+           const circuit::ProcessParams& p = circuit::default_process());
+
+  /// Discharge current injected into a high bit line at `v_bl` for an access
+  /// gate drive of `access().drive(v_wl)`. Series access + pull-down,
+  /// combined with the conductance-series rule.
+  [[nodiscard]] Ampere current(const circuit::Mosfet::Drive& access, Volt v_bl) const;
+  [[nodiscard]] Ampere current(Volt v_wl, Volt v_bl) const {
+    return current(access_.drive(v_wl), v_bl);
+  }
+
+  [[nodiscard]] const circuit::Mosfet& access() const { return access_; }
+  [[nodiscard]] const circuit::Mosfet& pulldown() const { return pulldown_; }
+  /// The pull-down's drive with its gate at VDD.
+  [[nodiscard]] const circuit::Mosfet::Drive& pulldown_on() const { return pulldown_on_; }
+
+ private:
+  circuit::Mosfet access_;
+  circuit::Mosfet pulldown_;
+  circuit::Mosfet::Drive pulldown_on_;
+};
+
 class Sram6tCell {
  public:
   Sram6tCell(const CellGeometry& g, const circuit::OperatingPoint& op,
@@ -58,8 +87,9 @@ class Sram6tCell {
 
   /// Discharge current injected into a high bit line when this cell stores
   /// '0' and its word line sits at `v_wl` with the BL at `v_bl`.
-  /// Series access + pull-down, combined with the conductance-series rule.
-  [[nodiscard]] Ampere read_current(Volt v_wl, Volt v_bl) const;
+  [[nodiscard]] Ampere read_current(Volt v_wl, Volt v_bl) const {
+    return read_.current(v_wl, v_bl);
+  }
 
   /// Mechanism (a): equilibrium voltage of the internal '0' node while the
   /// BL is held at `v_bl` (high) and the WL at `v_wl`.
@@ -90,11 +120,15 @@ class Sram6tCell {
   [[nodiscard]] const circuit::OperatingPoint& op() const { return op_; }
 
  private:
+  /// The trip point, bisected on demand. If `level` is at or above it, the
+  /// bisection may stop early and return an upper bound of it that is still
+  /// at or below `level`; otherwise the result is exact.
+  [[nodiscard]] Volt trip_unless_below(double level) const;
+
   circuit::OperatingPoint op_;
-  circuit::Mosfet access_;
-  circuit::Mosfet pulldown_;
+  ReadPath read_;
   circuit::Mosfet pullup_;
-  Volt trip_nominal_;
+  circuit::Mosfet::Drive pullup_on_;  ///< pull-up drive, gate at VDD
   Volt d_trip_;
 };
 

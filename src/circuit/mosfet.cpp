@@ -37,11 +37,7 @@ Mosfet::Mosfet(DeviceKind kind, VtFlavor flavor, double w_um, const OperatingPoi
   ioff_ = p.ioff_a_per_um;
 }
 
-Ampere Mosfet::current(Volt vgs, Volt vds) const {
-  double vds_v = vds.si();
-  if (vds_v <= 0.0) return Ampere(0.0);
-  if (vds_v > 1.5) vds_v = 1.5;  // clamp far beyond any operating supply
-
+Mosfet::Drive Mosfet::drive(Volt vgs) const {
   // EKV interpolation of the overdrive: smooth transition from exponential
   // subthreshold conduction to the alpha-power strong-inversion law.
   const double vov = vgs.si() - vth_.si();
@@ -51,17 +47,21 @@ Ampere Mosfet::current(Volt vgs, Volt vds) const {
   if (x > 40.0) {
     veff = vov;
   } else if (x < -40.0) {
-    return Ampere(0.0);
+    return {};
   } else {
     veff = s * std::log1p(std::exp(x));
   }
-  if (veff <= 0.0) return Ampere(0.0);
+  if (veff <= 0.0) return {};
+  return {kp_ * w_um_ * std::pow(veff, alpha_), vdsat_frac_ * veff};
+}
 
-  const double isat = kp_ * w_um_ * std::pow(veff, alpha_);
-  const double vdsat = vdsat_frac_ * veff;
-  if (vds_v >= vdsat) return Ampere(isat);
-  const double xd = vds_v / vdsat;
-  return Ampere(isat * (2.0 - xd) * xd);
+Ampere Mosfet::current(const Drive& d, Volt vds) {
+  double vds_v = vds.si();
+  if (vds_v <= 0.0) return Ampere(0.0);
+  if (vds_v > 1.5) vds_v = 1.5;  // clamp far beyond any operating supply
+  if (vds_v >= d.vdsat) return Ampere(d.isat);
+  const double xd = vds_v / d.vdsat;
+  return Ampere(d.isat * (2.0 - xd) * xd);
 }
 
 Volt Mosfet::mismatch_sigma(double w_um, const ProcessParams& p) {

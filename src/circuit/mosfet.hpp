@@ -13,6 +13,13 @@
 //
 // Voltages are device-local magnitudes: pass Vgs/Vds as positive overdrive
 // for both NMOS and PMOS (callers flip signs for PMOS).
+//
+// Everything transcendental (the EKV log1p/exp and the alpha power) depends
+// on Vgs only. `drive(vgs)` computes that part once; `current(drive, vds)`
+// adds the cheap Vds clamp and saturation/triode step. Callers whose gate
+// voltage holds still across many evaluations (a VDD-gated pull-down, a
+// bisection over a drain node, a flat word line) keep the Drive and pay only
+// the second step. `current(vgs, vds)` is exactly their composition.
 
 #include "circuit/process.hpp"
 #include "common/units.hpp"
@@ -26,8 +33,20 @@ class Mosfet {
   Mosfet(DeviceKind kind, VtFlavor flavor, double w_um, const OperatingPoint& op,
          const ProcessParams& p = default_process(), Volt vth_delta = Volt(0.0));
 
+  /// The gate-voltage-dependent part of the current. A device below its
+  /// subthreshold floor has zero `isat` and `vdsat`, which `current` turns
+  /// into zero current at every Vds.
+  struct Drive {
+    double isat = 0.0;   ///< saturation current (A)
+    double vdsat = 0.0;  ///< saturation drain voltage (V)
+  };
+  [[nodiscard]] Drive drive(Volt vgs) const;
+
+  /// Drain current magnitude for a gate drive and a drain-source magnitude.
+  [[nodiscard]] static Ampere current(const Drive& d, Volt vds);
+
   /// Drain current magnitude for gate-source / drain-source magnitudes.
-  [[nodiscard]] Ampere current(Volt vgs, Volt vds) const;
+  [[nodiscard]] Ampere current(Volt vgs, Volt vds) const { return current(drive(vgs), vds); }
 
   /// Effective threshold after flavor, corner, temperature and mismatch.
   [[nodiscard]] Volt vth() const { return vth_; }

@@ -10,6 +10,7 @@
 #include <array>
 #include <cstddef>
 #include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -54,7 +55,8 @@ struct CrossingResult {
 
 /// Integrates dv/dt = f(t, v) with Heun's method (RK2) at fixed step `dt`
 /// until `t_end`, calling `observer(t, v)` after every step. f receives and
-/// returns volts/seconds as raw doubles for speed.
+/// returns volts/seconds as raw doubles for speed. An observer that returns
+/// bool ends the integration early by returning false.
 template <std::size_t N, class Deriv, class Observer>
 void integrate(Deriv&& f, NodeState<N>& v, Second t_end, Second dt, Observer&& observer) {
   const double h = dt.si();
@@ -65,12 +67,17 @@ void integrate(Deriv&& f, NodeState<N>& v, Second t_end, Second dt, Observer&& o
     for (std::size_t i = 0; i < N; ++i) pred[i] = v[i] + h * k1[i];
     f(t + h, pred, k2);
     for (std::size_t i = 0; i < N; ++i) v[i] += 0.5 * h * (k1[i] + k2[i]);
-    observer(t + h, v);
+    if constexpr (std::is_same_v<std::invoke_result_t<Observer&, double, NodeState<N>&>, bool>) {
+      if (!observer(t + h, v)) return;
+    } else {
+      observer(t + h, v);
+    }
   }
 }
 
 /// Convenience: integrate until node `watch` falls below `threshold` (volts),
-/// returning the (linearly interpolated) crossing time.
+/// returning the (linearly interpolated) crossing time. Stops at the step
+/// that crosses.
 template <std::size_t N, class Deriv>
 CrossingResult integrate_until_below(Deriv&& f, NodeState<N> v, std::size_t watch, Volt threshold,
                                      Second t_end, Second dt) {
@@ -79,15 +86,17 @@ CrossingResult integrate_until_below(Deriv&& f, NodeState<N> v, std::size_t watc
   double prev_t = 0.0;
   double prev_v = v[watch];
   integrate<N>(std::forward<Deriv>(f), v, t_end, dt, [&](double t, const NodeState<N>& state) {
-    if (!out.crossed && state[watch] < threshold.si()) {
+    if (state[watch] < threshold.si()) {
       // Linear interpolation between the previous and current sample.
       const double dv = state[watch] - prev_v;
       const double frac = dv != 0.0 ? (threshold.si() - prev_v) / dv : 1.0;
       out.crossed = true;
       out.time = Second(prev_t + frac * (t - prev_t));
+      return false;
     }
     prev_t = t;
     prev_v = state[watch];
+    return true;
   });
   return out;
 }

@@ -42,7 +42,7 @@ FailureRateResult shortwl_disturb_rate(const BlComputeConfig& cfg,
         // mismatch sets the droop. Victim is the cell storing '1'.
         const auto mm_aggr = cell::CellMismatch::sample(rng, cfg.cell_geometry);
         const auto mm_vict = cell::CellMismatch::sample(rng, cfg.cell_geometry);
-        const cell::Sram6tCell aggressor(cfg.cell_geometry, op, mm_aggr);
+        const cell::ReadPath aggressor(cfg.cell_geometry, op, mm_aggr);
         const cell::Sram6tCell victim(cfg.cell_geometry, op, mm_vict);
         const Volt d_p0(rng.normal(0.0, s_p0.si()) - cfg.p0_sense_vt_drop.si());
         const Mosfet p0(DeviceKind::Pmos, VtFlavor::LowVt, cfg.w_p0_um, op,
@@ -52,7 +52,7 @@ FailureRateResult shortwl_disturb_rate(const BlComputeConfig& cfg,
             std::max(20e-12, cfg.wl_pulse.si() + rng.normal(0.0, cfg.wl_jitter_sigma.si()));
 
         // Droop accumulated while the WL is (approximately) at full swing.
-        const double i_cell = aggressor.read_current(op.vdd, op.vdd).si();
+        const double i_cell = aggressor.current(op.vdd, op.vdd).si();
         double droop = i_cell * (pulse + 0.5 * cfg.wl_rise.si()) / c_bl;
 
         // Early boost contribution during the pulse: P0's mirror charge rate

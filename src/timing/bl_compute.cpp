@@ -1,6 +1,7 @@
 #include "timing/bl_compute.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "circuit/mosfet.hpp"
 #include "circuit/transient.hpp"
@@ -30,7 +31,7 @@ Farad BlComputeModel::bl_capacitance() const {
 Second BlComputeModel::compute_delay(const cell::CellMismatch& cell_mm, Volt d_p0, Volt d_n1,
                                      Volt sa_offset, Second pulse_jitter) const {
   const double vdd = op_.vdd.si();
-  const cell::Sram6tCell cell(cfg_.cell_geometry, op_, cell_mm);
+  const cell::ReadPath cell(cfg_.cell_geometry, op_, cell_mm);
 
   // Word-line waveform.
   Waveform wl;
@@ -70,9 +71,18 @@ Second BlComputeModel::compute_delay(const cell::CellMismatch& cell_mm, Volt d_p
   const double h = cfg_.dt.si();
   const double t_end = cfg_.t_end.si();
 
+  // The access drive changes only while the WL ramps; on its flat parts
+  // (the WLUD level, or 0 V after the boost pulse) the last one is reused.
+  double drive_wl = std::numeric_limits<double>::quiet_NaN();
+  Mosfet::Drive access{};
+
   auto derivs = [&](double t, double bl, double mir, double& d_bl, double& d_mir) {
     const Volt v_wl = wl.at(Second(t));
-    double i_dn = cell.read_current(v_wl, Volt(bl)).si();
+    if (v_wl.si() != drive_wl) {
+      drive_wl = v_wl.si();
+      access = cell.access().drive(v_wl);
+    }
+    double i_dn = cell.current(access, Volt(bl)).si();
     if (boosted) {
       // P0 charges the mirror node as the BL droops below VDD.
       const double i_p0 = p0.current(Volt(vdd - bl), Volt(vdd - mir)).si();

@@ -127,5 +127,49 @@ TEST(Mosfet, RealisticSaturationCurrentDensity) {
   EXPECT_LT(i, 800e-6);
 }
 
+TEST(Mosfet, DriveThenCurrentEqualsCurrentBitwise) {
+  // The gate-only Drive plus the Vds step must reproduce the one-call current
+  // exactly, in every region of both steps. x = (Vgs - Vth) / s is the EKV
+  // argument: below -40 the device is cut off, above 40 the overdrive is
+  // used as is, in between the log1p(exp) smoothing applies.
+  const ProcessParams& p = default_process();
+  const double vds_grid[] = {-0.2, 0.0, 1e-4, 0.005, 0.02, 0.05, 0.1, 0.2, 0.35,
+                             0.5,  0.7, 0.9,  1.2,   1.5,  1.5001, 1.8, 3.0};
+  int cut_off = 0, smoothed = 0, linear = 0, triode = 0, saturated = 0, clamped = 0;
+  for (const DeviceKind kind : {DeviceKind::Nmos, DeviceKind::Pmos}) {
+    for (const Volt d_vth : {Volt(0.0), Volt(-0.07), Volt(0.09)}) {
+      const OperatingPoint op{0.9_V, 85.0, Corner::SF};
+      const Mosfet m(kind, VtFlavor::Regular, 0.14, op, p, d_vth);
+      const double s = p.subvt_n_factor * thermal_voltage(op.temp_c).si();
+      for (int k = 0; k <= 480; ++k) {
+        const double vgs = -2.2 + 0.01 * k;  // -2.2 V .. 2.6 V
+        const double x = (vgs - m.vth().si()) / s;
+        (x < -40.0 ? cut_off : x > 40.0 ? linear : smoothed) += 1;
+        const Mosfet::Drive d = m.drive(Volt(vgs));
+        for (const double vds : vds_grid) {
+          if (vds > 0.0 && vds <= 1.5 && d.isat > 0.0) (vds < d.vdsat ? triode : saturated) += 1;
+          if (vds > 1.5) ++clamped;
+          EXPECT_EQ(Mosfet::current(d, Volt(vds)).si(), m.current(Volt(vgs), Volt(vds)).si())
+              << "vgs " << vgs << " vds " << vds;
+        }
+      }
+    }
+  }
+  EXPECT_GT(cut_off, 0);
+  EXPECT_GT(smoothed, 0);
+  EXPECT_GT(linear, 0);
+  EXPECT_GT(triode, 0);
+  EXPECT_GT(saturated, 0);
+  EXPECT_GT(clamped, 0);
+}
+
+TEST(Mosfet, CutOffDriveGivesZeroCurrentAtAnyVds) {
+  const Mosfet m(DeviceKind::Nmos, VtFlavor::Regular, 0.2, nominal());
+  const Mosfet::Drive off = m.drive(Volt(-2.0));
+  EXPECT_EQ(off.isat, 0.0);
+  for (const double vds : {0.0, 0.01, 0.9, 2.0})
+    EXPECT_EQ(Mosfet::current(off, Volt(vds)).si(), 0.0);
+}
+
 }  // namespace
 }  // namespace bpim::circuit

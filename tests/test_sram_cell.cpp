@@ -123,5 +123,29 @@ TEST(Sram6t, SlowCornerReadsSlower) {
   EXPECT_GT(fast.read_current(0.9_V, 0.9_V).si(), slow.read_current(0.9_V, 0.9_V).si());
 }
 
+TEST(Sram6t, LowBlFlipMatchesTheExactTripCriterion) {
+  // flips_with_low_bl may stop bisecting the trip point early; its verdict
+  // must equal the one built from the fully bisected trip_high().
+  Rng rng(0x7219);
+  int flips = 0, holds = 0;
+  for (int n = 0; n < 200; ++n) {
+    const Sram6tCell cell(CellGeometry{}, nominal(), CellMismatch::sample(rng, CellGeometry{}));
+    for (const double v_wl : {0.55, 0.7, 0.9}) {
+      for (const double v_bl : {0.04, 0.2, 0.5}) {
+        for (const Second dur : {Second(20e-12), Second(2e-9)}) {
+          const Volt vq = cell.sag_voltage(Volt(v_wl), Volt(v_bl));
+          const Volt trip = cell.trip_high();
+          const bool want = vq.si() < trip.si() &&
+                            dur.si() >= cell.regeneration_time(vq, trip).si();
+          EXPECT_EQ(cell.flips_with_low_bl(Volt(v_wl), Volt(v_bl), dur), want);
+          (want ? flips : holds) += 1;
+        }
+      }
+    }
+  }
+  EXPECT_GT(flips, 0);
+  EXPECT_GT(holds, 0);
+}
+
 }  // namespace
 }  // namespace bpim::cell

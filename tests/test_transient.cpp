@@ -84,5 +84,36 @@ TEST(Integrator, WatchIndexValidated) {
       std::invalid_argument);
 }
 
+TEST(Integrator, UntilBelowStopsAtTheCrossingStep) {
+  // Counting derivative calls shows the loop ends at the step that crosses
+  // (two calls per Heun step), not at t_end. The threshold is crossed near
+  // 100.25 ps, mid-way through a step.
+  constexpr double rc = 100e-12;
+  constexpr double dt = 0.5e-12;
+  int calls = 0;
+  const auto res = integrate_until_below<1>(
+      [&](double, const NodeState<1>& s, NodeState<1>& d) {
+        ++calls;
+        d[0] = -s[0] / rc;
+      },
+      NodeState<1>{1.0}, 0, Volt(std::exp(-100.25e-12 / rc)), Second(20e-9), Second(dt));
+  ASSERT_TRUE(res.crossed);
+  ASSERT_EQ(calls % 2, 0);
+  const int steps = calls / 2;
+  EXPECT_LE((steps - 1) * dt, res.time.si());
+  EXPECT_GE(steps * dt, res.time.si());
+  EXPECT_LT(steps, 20e-9 / dt / 100);  // far short of t_end
+}
+
+TEST(Integrator, ObserverReturningFalseEndsIntegration) {
+  NodeState<1> v{0.0};
+  int seen = 0;
+  integrate<1>([](double, const NodeState<1>&, NodeState<1>& d) { d[0] = 1.0; }, v,
+               Second(1e-9), Second(1e-12),
+               [&](double, const NodeState<1>&) { return ++seen < 5; });
+  EXPECT_EQ(seen, 5);
+  EXPECT_NEAR(v[0], 5e-12, 1e-24);
+}
+
 }  // namespace
 }  // namespace bpim::circuit
