@@ -31,10 +31,10 @@
 //   --out     output path (default BENCH_hotpath.json)
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <iostream>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -76,25 +76,37 @@ double time_ns(std::size_t iters, F&& fn, int reps = 3) {
   return best;
 }
 
-/// Best-of-9 ns per call of f() and of g(), timed in alternation so host
-/// drift hits both alike -- for the ratios a gate reads.
-template <class F, class G>
-std::pair<double, double> time_pair_ns(std::size_t iters, F&& f, G&& g) {
-  std::pair<double, double> best{1e300, 1e300};
-  for (int rep = 0; rep < 9; ++rep) {
-    best.first = std::min(best.first, time_ns(iters, f, 1));
-    best.second = std::min(best.second, time_ns(iters, g, 1));
-  }
-  return best;
-}
-
 struct KernelResult {
   std::string name;
   unsigned bits = 0;
   double ns_per_op = 0.0;
   double ref_ns_per_op = 0.0;  ///< 0 when the kernel has no per-bit reference
+  /// Median over reps of (ns/ref ns) timed back to back in the same rep; 0
+  /// unless the kernel was timed with time_pair. The gates read this.
+  double paired_ratio = 0.0;
   [[nodiscard]] double speedup() const { return ref_ns_per_op > 0 ? ref_ns_per_op / ns_per_op : 0; }
 };
+
+/// f() against its reference g(), timed in alternation so host drift hits
+/// both alike: best-of-15 ns per call of each, plus the median of the 15
+/// per-rep ratios f/g. A noisy rep moves only its own ratio, which the
+/// median discards; two independent best-of minima can each catch a
+/// different lucky rep.
+template <class F, class G>
+void time_pair(std::size_t iters, F&& f, G&& g, KernelResult& out) {
+  constexpr int kReps = 15;
+  std::array<double, kReps> ratios{};
+  out.ns_per_op = out.ref_ns_per_op = 1e300;
+  for (int rep = 0; rep < kReps; ++rep) {
+    const double fn = time_ns(iters, f, 1);
+    const double gn = time_ns(iters, g, 1);
+    out.ns_per_op = std::min(out.ns_per_op, fn);
+    out.ref_ns_per_op = std::min(out.ref_ns_per_op, gn);
+    ratios[static_cast<std::size_t>(rep)] = fn / gn;
+  }
+  std::nth_element(ratios.begin(), ratios.begin() + kReps / 2, ratios.end());
+  out.paired_ratio = ratios[kReps / 2];
+}
 
 macro::MacroConfig bench_macro_cfg() {
   macro::MacroConfig cfg;
@@ -152,11 +164,11 @@ std::vector<KernelResult> bench_kernels(std::size_t iters) {
       m.poke_mult_operand(1, u, bits, top | (rng.next_u64() & (top - 1)));
     }
     const macro::AdaptivePolicy adaptive{true, true};
-    KernelResult ma{"mult_adaptive_dense", bits, 0, 0};
-    std::tie(ma.ns_per_op, ma.ref_ns_per_op) = time_pair_ns(
+    KernelResult ma{"mult_adaptive_dense", bits};
+    time_pair(
         iters / 4 + 1,
         [&] { (void)m.mult_rows(RowRef::main(0), RowRef::main(1), bits, adaptive); },
-        [&] { (void)m.mult_rows(RowRef::main(0), RowRef::main(1), bits); });
+        [&] { (void)m.mult_rows(RowRef::main(0), RowRef::main(1), bits); }, ma);
     out.push_back(ma);
 
     // The unified execution model's dispatch cost: the same MULT through a
@@ -166,10 +178,10 @@ std::vector<KernelResult> bench_kernels(std::size_t iters) {
     macro::OpCompiler oc(m.config().geometry);
     const macro::VerifiedProgram& prog = oc.mult(RowRef::main(0), RowRef::main(1), bits);
     macro::MacroController ctl(m);
-    KernelResult mp{"mult_program", bits, 0, 0};
-    std::tie(mp.ns_per_op, mp.ref_ns_per_op) = time_pair_ns(
+    KernelResult mp{"mult_program", bits};
+    time_pair(
         iters / 4 + 1, [&] { (void)ctl.run(prog); },
-        [&] { (void)m.mult_rows(RowRef::main(0), RowRef::main(1), bits); });
+        [&] { (void)m.mult_rows(RowRef::main(0), RowRef::main(1), bits); }, mp);
     out.push_back(mp);
   }
 
@@ -247,6 +259,7 @@ void write_json(const std::string& path, bool smoke, const std::vector<KernelRes
       w.field("ref_ns_per_op", k.ref_ns_per_op);
       w.field("speedup", k.speedup());
     }
+    if (k.paired_ratio > 0) w.field("paired_ratio", k.paired_ratio);
     w.end_object();
   }
   w.end_array();
@@ -301,7 +314,7 @@ int main(int argc, char** argv) {
   for (const auto& k : kernels)
     if (k.name == "mult_program" && k.bits == 8)
       std::cout << "  unified dispatch (cached verified program + controller) costs "
-                << TextTable::num(k.ns_per_op / k.ref_ns_per_op, 2)
+                << TextTable::num(k.paired_ratio, 2)
                 << "x the direct 8-bit mult_rows call per op\n";
 
   print_banner(std::cout, "End-to-end MLP forward (ExecutionEngine, 1 thread, 8 macros)");
@@ -314,23 +327,21 @@ int main(int argc, char** argv) {
 
   // Acceptance bars: >=5x on the 8-bit MULT path, the adaptive planner's
   // dense-operand host overhead within 5% at 8-bit, and the unified
-  // dispatch overhead within kMaxDispatchOverhead at 8-bit.
+  // dispatch overhead within kMaxDispatchOverhead at 8-bit. The two
+  // overhead bars read the paired-ratio median.
   for (const auto& k : kernels) {
     if (k.name == "mult" && k.bits == 8 && k.speedup() < 5.0) {
       std::cerr << "WARNING: 8-bit mult speedup " << k.speedup() << " is below the 5x target\n";
       return 1;
     }
-    if (k.name == "mult_adaptive_dense" && k.bits == 8 &&
-        k.ns_per_op > 1.05 * k.ref_ns_per_op) {
-      std::cerr << "WARNING: adaptive planning costs "
-                << TextTable::num(k.ns_per_op / k.ref_ns_per_op, 3)
+    if (k.name == "mult_adaptive_dense" && k.bits == 8 && k.paired_ratio > 1.05) {
+      std::cerr << "WARNING: adaptive planning costs " << TextTable::num(k.paired_ratio, 3)
                 << "x the plain 8-bit mult on dense operands (>1.05x budget)\n";
       return 1;
     }
-    if (k.name == "mult_program" && k.bits == 8 &&
-        k.ns_per_op > kMaxDispatchOverhead * k.ref_ns_per_op) {
+    if (k.name == "mult_program" && k.bits == 8 && k.paired_ratio > kMaxDispatchOverhead) {
       std::cerr << "WARNING: unified dispatch costs "
-                << TextTable::num(k.ns_per_op / k.ref_ns_per_op, 3)
+                << TextTable::num(k.paired_ratio, 3)
                 << "x the direct 8-bit mult_rows call (>" << kMaxDispatchOverhead
                 << "x budget)\n";
       return 1;

@@ -10,15 +10,6 @@ SramArray::SramArray(const ArrayGeometry& g) : geom_(g) {
   dummy_.assign(g.dummy_rows, BitVector(g.cols));
 }
 
-const BitVector& SramArray::row(RowRef r) const {
-  if (r.kind == RowRef::Kind::Main) {
-    BPIM_REQUIRE(r.index < main_.size(), "main row out of range");
-    return main_[r.index];
-  }
-  BPIM_REQUIRE(r.index < dummy_.size(), "dummy row out of range");
-  return dummy_[r.index];
-}
-
 void SramArray::write_row(RowRef r, const BitVector& data) {
   BPIM_REQUIRE(data.size() == geom_.cols, "row width mismatch");
   if (r.kind == RowRef::Kind::Main) {
@@ -49,13 +40,7 @@ void SramArray::deposit_bits(RowRef r, std::size_t col, std::size_t len, std::ui
   target[r.index].deposit_bits(col, len, value);
 }
 
-void SramArray::check_access(RowRef r) const {
-  // While the separator is open, only same-segment WL pairs share a BL; a
-  // cross-segment dual access cannot produce a valid wired-AND result.
-  (void)r;
-}
-
-BlReadout SramArray::compute_dual(RowRef a, RowRef b) const {
+void SramArray::compute_dual_into(RowRef a, RowRef b, BlReadout& out) const {
   BPIM_REQUIRE(!(a == b), "dual-WL compute needs two distinct rows");
   if (separated_) {
     BPIM_REQUIRE(a.is_dummy() == b.is_dummy(),
@@ -63,12 +48,31 @@ BlReadout SramArray::compute_dual(RowRef a, RowRef b) const {
   }
   const BitVector& ra = row(a);
   const BitVector& rb = row(b);
-  return BlReadout{ra & rb, ~(ra | rb)};
+  out.bl_and.reset(geom_.cols);
+  out.bl_nor.reset(geom_.cols);
+  for (std::size_t k = 0; k < ra.word_count(); ++k) {
+    out.bl_and.set_word(k, ra.word(k) & rb.word(k));
+    out.bl_nor.set_word(k, ~(ra.word(k) | rb.word(k)));
+  }
+}
+
+void SramArray::read_single_into(RowRef r, BlReadout& out) const {
+  const BitVector& data = row(r);
+  out.bl_and = data;
+  out.bl_nor.reset(geom_.cols);
+  for (std::size_t k = 0; k < data.word_count(); ++k) out.bl_nor.set_word(k, ~data.word(k));
+}
+
+BlReadout SramArray::compute_dual(RowRef a, RowRef b) const {
+  BlReadout out;
+  compute_dual_into(a, b, out);
+  return out;
 }
 
 BlReadout SramArray::read_single(RowRef r) const {
-  const BitVector& data = row(r);
-  return BlReadout{data, ~data};
+  BlReadout out;
+  read_single_into(r, out);
+  return out;
 }
 
 std::size_t SramArray::toggle_count(RowRef r, const BitVector& incoming) const {

@@ -59,7 +59,14 @@ class SramArray {
   [[nodiscard]] const ArrayGeometry& geometry() const { return geom_; }
 
   // ---- plain storage access --------------------------------------------
-  [[nodiscard]] const BitVector& row(RowRef r) const;
+  [[nodiscard]] const BitVector& row(RowRef r) const {
+    if (r.kind == RowRef::Kind::Main) {
+      BPIM_REQUIRE(r.index < main_.size(), "main row out of range");
+      return main_[r.index];
+    }
+    BPIM_REQUIRE(r.index < dummy_.size(), "dummy row out of range");
+    return dummy_[r.index];
+  }
   void write_row(RowRef r, const BitVector& data);
   [[nodiscard]] bool get(RowRef r, std::size_t col) const { return row(r).get(col); }
   void set(RowRef r, std::size_t col, bool v);
@@ -80,14 +87,17 @@ class SramArray {
   [[nodiscard]] BlReadout compute_dual(RowRef a, RowRef b) const;
   /// Single-WL read of one row.
   [[nodiscard]] BlReadout read_single(RowRef r) const;
+  /// compute_dual / read_single into caller storage (a macro's SA latch):
+  /// `out` is resized to the row width in place, so a latch sized once
+  /// never reallocates.
+  void compute_dual_into(RowRef a, RowRef b, BlReadout& out) const;
+  void read_single_into(RowRef r, BlReadout& out) const;
 
   /// Number of bits that differ from the currently stored row -- the
   /// write-back switching activity used by the energy ledger.
   [[nodiscard]] std::size_t toggle_count(RowRef r, const BitVector& incoming) const;
 
  private:
-  void check_access(RowRef r) const;
-
   ArrayGeometry geom_;
   std::vector<BitVector> main_;
   std::vector<BitVector> dummy_;

@@ -18,6 +18,8 @@
 //   * iterative MULT add-and-shift cycles also *compute* on the short
 //     segment (cmp_near vs cmp_main).
 
+#include <cstddef>
+
 #include "common/units.hpp"
 
 namespace bpim::energy {
@@ -33,6 +35,9 @@ enum class Component {
   WriteBackFull,      ///< write-back driving the full-height BL
   FlipFlop,           ///< multiplier / propagation flip-flop update
 };
+
+/// Number of Component values (the size of a per-component table).
+inline constexpr std::size_t kComponentCount = static_cast<std::size_t>(Component::FlipFlop) + 1;
 
 enum class SeparatorMode { Enabled, Disabled };
 

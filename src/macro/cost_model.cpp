@@ -1,6 +1,8 @@
 #include "macro/cost_model.hpp"
 
 #include "common/require.hpp"
+#include "macro/imc_macro.hpp"
+#include "macro/program.hpp"
 
 namespace bpim::macro {
 
@@ -8,22 +10,44 @@ using array::RowRef;
 using energy::Component;
 using energy::SeparatorMode;
 
-CostModel::CostModel(const MacroConfig& cfg)
-    : geom_(cfg.geometry),
-      vdd_(cfg.vdd),
-      separator_(cfg.separator),
-      energy_(cfg.energy_params),
-      cycle_time_(scheme_cycle_time(cfg, timing::FreqModel(cfg.freq))) {}
+namespace {
 
-Component CostModel::compute_price(RowRef a, RowRef b) const {
-  return (a.is_dummy() && b.is_dummy()) ? Component::DualWlComputeNear
-                                        : Component::DualWlComputeMain;
+// Cycle time of a macro built with `cfg` under its WL scheme and separator
+// mode, composed from its frequency model.
+Second scheme_cycle_time(const MacroConfig& cfg) {
+  const timing::FreqModel freq(cfg.freq);
+  const bool sep = cfg.separator == SeparatorMode::Enabled;
+  switch (cfg.wl_scheme) {
+    case WlScheme::ShortPulseBoost:
+      return period_of(freq.fmax(cfg.vdd, sep));
+    case WlScheme::Wlud: {
+      // WL activation + sensing replaced by the WLUD BL computation phase
+      // (~1.86 ns at 0.9 V from the transient model), supply-scaled.
+      const auto b = freq.breakdown(cfg.vdd, sep);
+      const double k = freq.config().scaling.factor(cfg.vdd);
+      return b.bl_precharge + Second(1.86e-9 * k) + b.logic + b.write_back;
+    }
+    case WlScheme::FullSwingLong: {
+      // Full-current discharge without boost (~0.42 ns at 0.9 V) -- fast but
+      // destructive (see DisturbModel).
+      const auto b = freq.breakdown(cfg.vdd, sep);
+      const double k = freq.config().scaling.factor(cfg.vdd);
+      return b.bl_precharge + Second(0.42e-9 * k) + b.logic + b.write_back;
+    }
+  }
+  return period_of(freq.fmax(cfg.vdd, sep));
 }
 
-Component CostModel::wb_price(RowRef dest) const {
-  if (!dest.is_dummy()) return Component::WriteBackFull;
-  return separator_ == SeparatorMode::Enabled ? Component::WriteBackNear
-                                              : Component::WriteBackFull;
+}  // namespace
+
+CostModel::CostModel(const MacroConfig& cfg)
+    : geom_(cfg.geometry),
+      separator_(cfg.separator),
+      params_(cfg.energy_params),
+      cycle_time_(scheme_cycle_time(cfg)) {
+  const energy::EnergyModel energy(cfg.energy_params);
+  for (std::size_t c = 0; c < prices_.size(); ++c)
+    prices_[c] = energy.price(static_cast<Component>(c), cfg.vdd);
 }
 
 InstructionCost CostModel::instruction_cost(const Instruction& inst,
@@ -109,7 +133,7 @@ InstructionCost CostModel::mult_cost(unsigned bits, const MultPlan& plan) const 
   Joule e{0.0};
   const auto charge = [&](Component comp, double n_bits) { e += price(comp) * n_bits; };
   const double n = static_cast<double>(geom_.cols);
-  const auto& p = energy_.params();
+  const auto& p = params_;
   const RowRef d1 = RowRef::dummy(ImcMacro::kDummyOperand);
   const RowRef d2 = RowRef::dummy(ImcMacro::kDummyAccum);
   const std::size_t units = geom_.cols / (2 * static_cast<std::size_t>(bits));

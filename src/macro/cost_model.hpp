@@ -14,19 +14,29 @@
 // and the tests in test_macro_accounting/test_macro_energy assert the
 // energy half exactly.
 //
+// One price table: the per-Component unit prices at the config's supply are
+// computed once, at construction, from EnergyModel::price. Every ImcMacro
+// owns a CostModel built from its config and charges its ledger through
+// price(), so the ledger and the static prices read the very same doubles.
+//
 // Chained-MAC pricing: pass the predecessor instruction to instruction_cost
 // (or set fuse_mac_chains on program_cost) and back-to-back MULTs at one
 // precision get the pipelined FF-load discount (-1 cycle); a repeated
 // multiplicand row additionally skips the D1 staging cycle and its energy
 // (-1 cycle more) -- the same discounts MacroController::run applies.
 
+#include <array>
 #include <cstdint>
 
 #include "energy/energy_model.hpp"
-#include "macro/program.hpp"
-#include "timing/freq_model.hpp"
+#include "macro/config.hpp"
+#include "macro/isa.hpp"
 
 namespace bpim::macro {
+
+struct Instruction;    // macro/program.hpp
+class Program;         // macro/program.hpp
+struct ProgramStats;   // macro/program.hpp
 
 /// Price of one instruction: what the macro's ledger will record for it.
 struct InstructionCost {
@@ -60,20 +70,37 @@ class CostModel {
   /// fused_cycles_saved, exactly as MacroController::run books it.
   [[nodiscard]] ProgramStats program_cost(const Program& p, bool fuse_mac_chains = false) const;
 
-  /// Cycle time under the config's WL scheme and separator mode -- the same
-  /// tick ImcMacro::cycle_time() reports (shared scheme_cycle_time helper).
+  /// Cycle time under the config's WL scheme and separator mode -- the tick
+  /// ImcMacro::cycle_time() reports.
   [[nodiscard]] Second cycle_time() const { return cycle_time_; }
 
+  /// Per-bit price of `c` at the config's supply (the one price table).
+  [[nodiscard]] Joule price(energy::Component c) const {
+    return prices_[static_cast<std::size_t>(c)];
+  }
+  /// Activities and calibration the per-charge bit counts scale by.
+  [[nodiscard]] const energy::EnergyParams& params() const { return params_; }
+
+  /// Dual-WL compute price: dummy-segment computes are short-BL accesses.
+  [[nodiscard]] static energy::Component compute_price(array::RowRef a, array::RowRef b) {
+    return (a.is_dummy() && b.is_dummy()) ? energy::Component::DualWlComputeNear
+                                          : energy::Component::DualWlComputeMain;
+  }
+  /// Write-back price: only a dummy-row write under an enabled separator
+  /// drives the short segment.
+  [[nodiscard]] energy::Component wb_price(array::RowRef dest) const {
+    return (dest.is_dummy() && separator_ == energy::SeparatorMode::Enabled)
+               ? energy::Component::WriteBackNear
+               : energy::Component::WriteBackFull;
+  }
+
  private:
-  [[nodiscard]] Joule price(energy::Component c) const { return energy_.price(c, vdd_); }
-  [[nodiscard]] energy::Component compute_price(array::RowRef a, array::RowRef b) const;
-  [[nodiscard]] energy::Component wb_price(array::RowRef dest) const;
   [[nodiscard]] InstructionCost mult_cost(unsigned bits, const MultPlan& plan) const;
 
   array::ArrayGeometry geom_;
-  Volt vdd_;
   energy::SeparatorMode separator_;
-  energy::EnergyModel energy_;
+  energy::EnergyParams params_;
+  std::array<Joule, energy::kComponentCount> prices_{};
   Second cycle_time_;
 };
 

@@ -7,7 +7,6 @@
 
 namespace bpim::macro {
 
-using array::BlReadout;
 using array::RowRef;
 using energy::Component;
 using energy::SeparatorMode;
@@ -34,10 +33,14 @@ DisturbModel DisturbModel::for_scheme(WlScheme scheme) {
 ImcMacro::ImcMacro(const MacroConfig& cfg)
     : cfg_(cfg),
       array_(cfg.geometry),
-      energy_(cfg.energy_params),
-      freq_(cfg.freq),
+      cost_(cfg),
       disturb_(DisturbModel::for_scheme(cfg.wl_scheme)),
-      rng_(cfg.seed) {
+      rng_(cfg.seed),
+      sense_{BitVector(cfg.geometry.cols), BitVector(cfg.geometry.cols)},
+      fa_{BitVector(cfg.geometry.cols), BitVector(cfg.geometry.cols),
+          BitVector(cfg.geometry.cols)},
+      ff_(cfg.geometry.cols),
+      drive_(cfg.geometry.cols) {
   BPIM_REQUIRE(cfg.geometry.dummy_rows >= 3, "the sequencer needs three dummy rows");
 }
 
@@ -108,20 +111,8 @@ std::uint64_t ImcMacro::peek_mult_product(const BitVector& row, std::size_t unit
 
 // ---- accounting helpers -----------------------------------------------------
 
-Component ImcMacro::compute_price(RowRef a, RowRef b) const {
-  // Dummy-segment computes are short-BL accesses; the *adaptive* separator's
-  // energy benefit shows up on write-back (see energy model header).
-  return (a.is_dummy() && b.is_dummy()) ? Component::DualWlComputeNear
-                                        : Component::DualWlComputeMain;
-}
-
-Component ImcMacro::wb_price() const {
-  return cfg_.separator == SeparatorMode::Enabled ? Component::WriteBackNear
-                                                  : Component::WriteBackFull;
-}
-
 void ImcMacro::charge(Component c, double bits) {
-  const Joule e = energy_.price(c, cfg_.vdd) * bits;
+  const Joule e = cost_.price(c) * bits;
   pending_energy_ += e;
   component_energy_[static_cast<std::size_t>(c)] += e;
 }
@@ -142,25 +133,27 @@ void ImcMacro::write_back(RowRef dest, const BitVector& data, double charged_bit
     array_.set_separated(true);  // adaptive: cut the heavy main-segment BL
   array_.write_row(dest, data);
   array_.set_separated(false);
-  const Component wb = dest.is_dummy() ? wb_price() : Component::WriteBackFull;
-  charge(wb, charged_bits);
+  charge(cost_.wb_price(dest), charged_bits);
 }
 
-BlReadout ImcMacro::sense_dual(RowRef a, RowRef b) {
+void ImcMacro::sense_dual(RowRef a, RowRef b) {
   if (cfg_.separator == SeparatorMode::Enabled && a.is_dummy() && b.is_dummy())
     array_.set_separated(true);
-  BlReadout r = array_.compute_dual(a, b);
+  array_.compute_dual_into(a, b, sense_);
   array_.set_separated(false);
   maybe_disturb(a, b);
-  return r;
 }
 
 void ImcMacro::maybe_disturb(RowRef a, RowRef b) {
   if (!cfg_.inject_disturb || disturb_.flip_probability <= 0.0) return;
   // Vulnerable columns hold complementary data: one cell discharges a BL and
   // the other cell's node on that BL sags toward it (paper Fig 1).
-  const BitVector vulnerable = array_.row(a) ^ array_.row(b);
-  const std::size_t slots = 2 * vulnerable.popcount();  // cell in a, cell in b per column
+  const BitVector& row_a = array_.row(a);
+  const BitVector& row_b = array_.row(b);
+  std::size_t vulnerable = 0;
+  for (std::size_t k = 0; k < row_a.word_count(); ++k)
+    vulnerable += static_cast<std::size_t>(std::popcount(row_a.word(k) ^ row_b.word(k)));
+  const std::size_t slots = 2 * vulnerable;  // cell in a, cell in b per column
   if (slots == 0) return;
   // Geometric-skip sampling: instead of one Bernoulli draw per vulnerable
   // cell, draw the gap to the next flip directly -- Geometric(p) -- so the
@@ -169,14 +162,18 @@ void ImcMacro::maybe_disturb(RowRef a, RowRef b) {
   const double denom = std::log1p(-disturb_.flip_probability);  // -inf at p == 1: every slot flips
   double gap = std::floor(std::log1p(-rng_.uniform()) / denom);
   if (!(gap < static_cast<double>(slots))) return;
-  // At least one flip: materialize the vulnerable column list once.
-  std::vector<std::size_t> cols;
-  cols.reserve(slots / 2);
-  vulnerable.for_each_set_bit([&](std::size_t c) { cols.push_back(c); });
+  // At least one flip: list the vulnerable columns once, before any flip
+  // changes which columns hold complementary data.
+  disturb_cols_.clear();
+  disturb_cols_.reserve(cols());  // grows once per macro, on its first flip
+  for (std::size_t k = 0; k < row_a.word_count(); ++k) {
+    for (std::uint64_t w = row_a.word(k) ^ row_b.word(k); w != 0; w &= w - 1)
+      disturb_cols_.push_back(k * 64 + static_cast<std::size_t>(std::countr_zero(w)));
+  }
   std::size_t j = 0;
   for (;;) {
     j += static_cast<std::size_t>(gap);
-    const std::size_t c = cols[j / 2];
+    const std::size_t c = disturb_cols_[j / 2];
     const RowRef victim = (j % 2 == 0) ? a : b;
     array_.set(victim, c, !array_.get(victim, c));
     ++disturb_flips_;
@@ -194,11 +191,11 @@ void ImcMacro::reset_counters() {
   last_ = ExecStats{};
 }
 
-BitVector ImcMacro::read_row(std::size_t r) {
-  const BlReadout out = array_.read_single(RowRef::main(r));
+const BitVector& ImcMacro::read_row(std::size_t r) {
+  array_.read_single_into(RowRef::main(r), sense_);
   charge(Component::SingleWlRead, static_cast<double>(cols()));
   finish_op(1);
-  return out.bl_and;
+  return sense_.bl_and;
 }
 
 void ImcMacro::write_row(std::size_t r, const BitVector& data) {
@@ -207,170 +204,163 @@ void ImcMacro::write_row(std::size_t r, const BitVector& data) {
   finish_op(1);
 }
 
-Second scheme_cycle_time(const MacroConfig& cfg, const timing::FreqModel& freq) {
-  const bool sep = cfg.separator == SeparatorMode::Enabled;
-  switch (cfg.wl_scheme) {
-    case WlScheme::ShortPulseBoost:
-      return period_of(freq.fmax(cfg.vdd, sep));
-    case WlScheme::Wlud: {
-      // WL activation + sensing replaced by the WLUD BL computation phase
-      // (~1.86 ns at 0.9 V from the transient model), supply-scaled.
-      const auto b = freq.breakdown(cfg.vdd, sep);
-      const double k = freq.config().scaling.factor(cfg.vdd);
-      return b.bl_precharge + Second(1.86e-9 * k) + b.logic + b.write_back;
-    }
-    case WlScheme::FullSwingLong: {
-      // Full-current discharge without boost (~0.42 ns at 0.9 V) -- fast but
-      // destructive (see DisturbModel).
-      const auto b = freq.breakdown(cfg.vdd, sep);
-      const double k = freq.config().scaling.factor(cfg.vdd);
-      return b.bl_precharge + Second(0.42e-9 * k) + b.logic + b.write_back;
-    }
-  }
-  return period_of(freq.fmax(cfg.vdd, sep));
-}
-
-Second ImcMacro::cycle_time() const { return scheme_cycle_time(cfg_, freq_); }
-
-Hertz ImcMacro::fmax() const { return frequency_of(cycle_time()); }
-
 // ---- compute operations -----------------------------------------------------
 
-BitVector ImcMacro::logic_rows(LogicFn fn, RowRef a, RowRef b) {
-  const BlReadout r = sense_dual(a, b);
-  BitVector out = FaLogics::logic(r, fn);
+const BitVector& ImcMacro::logic_rows(LogicFn fn, RowRef a, RowRef b) {
+  sense_dual(a, b);
+  FaLogics::logic_into(sense_, fn, drive_);
   const double n = static_cast<double>(cols());
-  charge(compute_price(a, b), n);
+  charge(CostModel::compute_price(a, b), n);
   charge(Component::FaLogic, n);
   finish_op(1);
-  return out;
+  return drive_;
 }
 
-BitVector ImcMacro::unary_row(Op op, RowRef src, RowRef dest, unsigned bits) {
+const BitVector& ImcMacro::unary_row(Op op, RowRef src, RowRef dest, unsigned bits) {
   BPIM_REQUIRE(op == Op::Not || op == Op::Copy || op == Op::Shift, "not a single-WL op");
-  const BlReadout r = array_.read_single(src);
-  BitVector out(cols());
-  switch (op) {
-    case Op::Not: out = r.bl_nor; break;
-    case Op::Copy: out = r.bl_and; break;
-    case Op::Shift:
-      // <<1 within every precision word via the carry-propagation path.
-      (void)words_per_row(bits);  // precision validation, as the seed path had
-      out = r.bl_and;
-      out.shl1_in_fields(bits);
-      break;
-    default: break;
-  }
+  if (op == Op::Shift) (void)words_per_row(bits);  // precision validation, as the seed path had
+  array_.read_single_into(src, sense_);
+  // NOT drives BLB; COPY and SHIFT drive BLT, SHIFT through the carry-
+  // propagation path (<<1 within every precision word).
+  drive_ = op == Op::Not ? sense_.bl_nor : sense_.bl_and;
+  if (op == Op::Shift) drive_.shl1_in_fields(bits);
   const double n = static_cast<double>(cols());
   charge(Component::SingleWlRead, n);
   charge(Component::Inverter, n);
-  write_back(dest, out, n);
+  write_back(dest, drive_, n);
   finish_op(1);
-  return out;
+  return drive_;
 }
 
-BitVector ImcMacro::add_rows(RowRef a, RowRef b, unsigned bits, std::optional<RowRef> dest,
-                             bool carry_in) {
+const BitVector& ImcMacro::add_rows(RowRef a, RowRef b, unsigned bits, std::optional<RowRef> dest,
+                                    bool carry_in) {
   BPIM_REQUIRE(is_supported_precision(bits), "unsupported precision");
-  const BlReadout r = sense_dual(a, b);
-  periph::AddResult res = FaLogics::add(r, bits, carry_in);
+  sense_dual(a, b);
+  FaLogics::add_into(sense_, bits, carry_in, fa_);
   const double n = static_cast<double>(cols());
-  charge(compute_price(a, b), n);
+  charge(CostModel::compute_price(a, b), n);
   charge(Component::FaLogic, n);
-  if (dest) write_back(*dest, res.sum, n);
+  if (dest) write_back(*dest, fa_.sum, n);
   finish_op(1);
-  return std::move(res.sum);
+  return fa_.sum;
 }
 
-BitVector ImcMacro::add_shift_rows(RowRef a, RowRef b, unsigned bits, RowRef dest) {
+const BitVector& ImcMacro::add_shift_rows(RowRef a, RowRef b, unsigned bits, RowRef dest) {
   BPIM_REQUIRE(is_supported_precision(bits), "unsupported precision");
-  const BlReadout r = sense_dual(a, b);
-  periph::AddResult res = FaLogics::add(r, bits, false);
+  sense_dual(a, b);
+  FaLogics::add_into(sense_, bits, false, fa_);
   // The propagated-sum path writes S[n-1] into column n (MX0 + Y-path FF).
   const std::size_t words = words_per_row(bits);
-  BitVector out = std::move(res.sum);
-  out.shl1_in_fields(bits);
+  drive_ = fa_.sum;
+  drive_.shl1_in_fields(bits);
   const double n = static_cast<double>(cols());
-  charge(compute_price(a, b), n);
+  charge(CostModel::compute_price(a, b), n);
   charge(Component::FaLogic, n);
   charge(Component::FlipFlop, static_cast<double>(words));
-  write_back(dest, out, n);
+  write_back(dest, drive_, n);
   finish_op(1);
-  return out;
+  return drive_;
 }
 
-BitVector ImcMacro::sub_rows(RowRef a, RowRef b, unsigned bits) {
+const BitVector& ImcMacro::sub_rows(RowRef a, RowRef b, unsigned bits) {
   BPIM_REQUIRE(is_supported_precision(bits), "unsupported precision");
   // Cycle 1: NOT(b) -> dummy operand row.
   const RowRef d1 = RowRef::dummy(kDummyOperand);
-  const BlReadout rb = array_.read_single(b);
+  array_.read_single_into(b, sense_);
   const double n = static_cast<double>(cols());
   charge(Component::SingleWlRead, n);
   charge(Component::Inverter, n);
-  write_back(d1, rb.bl_nor, n);
+  write_back(d1, sense_.bl_nor, n);
   // Cycle 2: a + ~b + 1 (two's complement).
-  const BlReadout r = sense_dual(a, d1);
-  periph::AddResult res = FaLogics::add(r, bits, true);
-  charge(compute_price(a, d1), n);
+  sense_dual(a, d1);
+  FaLogics::add_into(sense_, bits, true, fa_);
+  charge(CostModel::compute_price(a, d1), n);
   charge(Component::FaLogic, n);
   finish_op(2);
-  return std::move(res.sum);
+  return fa_.sum;
 }
 
-BitVector ImcMacro::mult_rows(RowRef a, RowRef b, unsigned bits, const AdaptivePolicy& policy) {
+const BitVector& ImcMacro::mult_rows(RowRef a, RowRef b, unsigned bits,
+                                     const AdaptivePolicy& policy) {
   return mult_impl(a, b, bits, plan_mult(a, b, bits, policy));
 }
 
-BitVector ImcMacro::mult_rows_chained(RowRef a, RowRef b, unsigned bits, bool d1_staged,
-                                      bool pipelined, const AdaptivePolicy& policy) {
+const BitVector& ImcMacro::mult_rows_chained(RowRef a, RowRef b, unsigned bits, bool d1_staged,
+                                             bool pipelined, const AdaptivePolicy& policy) {
   BPIM_REQUIRE(!d1_staged || pipelined, "D1 staging implies a pipelined chain link");
   return mult_impl(a, b, bits, plan_mult(a, b, bits, policy, d1_staged, pipelined));
 }
 
-BitVector ImcMacro::mult_rows_planned(RowRef a, RowRef b, unsigned bits, const MultPlan& plan) {
+const BitVector& ImcMacro::mult_rows_planned(RowRef a, RowRef b, unsigned bits,
+                                             const MultPlan& plan) {
   BPIM_REQUIRE(plan.depth <= bits, "plan depth exceeds the operand precision");
   BPIM_REQUIRE(!plan.skip || plan.depth == 0, "a skipped MULT runs no iterations");
   BPIM_REQUIRE(!plan.d1_staged || plan.pipelined, "D1 staging implies a pipelined chain link");
   return mult_impl(a, b, bits, plan);
 }
 
+namespace {
+
+/// Word masks of the 2N-bit MULT units at precision N. 2N divides 64 at
+/// every supported N, so one mask word covers every word of a row.
+struct UnitMasks {
+  std::uint64_t lsbs;        ///< bit 0 of every unit
+  std::uint64_t msbs;        ///< bit 2N-1 of every unit
+  std::uint64_t low_halves;  ///< the N-bit operand half of every unit
+  std::uint64_t below_msbs;  ///< bits [0, 2N-1) of every unit
+  std::uint64_t fill;        ///< one unit of ones: lsb flags * fill broadcasts a flag
+};
+
+constexpr UnitMasks make_unit_masks(unsigned bits) {
+  const unsigned unit = 2 * bits;
+  UnitMasks m{0, 0, 0, 0, unit >= 64 ? ~0ull : (1ull << unit) - 1};
+  for (unsigned i = 0; i < 64; i += unit) m.lsbs |= 1ull << i;
+  m.msbs = m.lsbs << (unit - 1);
+  m.low_halves = m.lsbs * ((1ull << bits) - 1);
+  m.below_msbs = m.msbs - m.lsbs;
+  return m;
+}
+
+// Indexed by log2(N): every supported precision is a power of two <= 32.
+constexpr std::array<UnitMasks, 6> kUnitMasks{make_unit_masks(1),  make_unit_masks(2),
+                                              make_unit_masks(4),  make_unit_masks(8),
+                                              make_unit_masks(16), make_unit_masks(32)};
+
+const UnitMasks& unit_masks(unsigned bits) {
+  return kUnitMasks[static_cast<std::size_t>(std::countr_zero(bits))];
+}
+
+}  // namespace
+
 MultPlan ImcMacro::plan_mult(RowRef a, RowRef b, unsigned bits, const AdaptivePolicy& policy,
                              bool d1_staged, bool pipelined) const {
   MultPlan plan = MultPlan::full(bits, d1_staged, pipelined);
   if (!policy.enabled()) return plan;
-  (void)mult_units_per_row(bits);  // precision/width validation
-  const std::size_t unit_bits = 2 * static_cast<std::size_t>(bits);
-  // Effectual operand view: the low half of every 2N-bit unit (unit_bits
-  // divides 64 for every supported precision, so one mask word covers all).
-  std::uint64_t low_halves = 0;
-  for (std::size_t i = 0; i < 64; i += unit_bits) low_halves |= ((1ull << bits) - 1) << i;
-  const std::uint64_t field_fill =
-      unit_bits >= 64 ? ~0ull : ((1ull << unit_bits) - 1);  // disjoint fields: no carry
-  const std::uint64_t unit_lsbs = BitVector::periodic_mask(unit_bits);
+  BPIM_REQUIRE(is_supported_precision(bits), "unsupported precision");
+  const UnitMasks& m = unit_masks(bits);
   const BitVector& row_a = array_.row(a);
   const BitVector& row_b = array_.row(b);
   // A zero multiplicand unit makes every multiplier bit of that unit
-  // ineffectual (sum == accumulator == 0 whatever the select bit says).
-  // One allocation-free pass (the planner sits on the MULT hot path): per
-  // word, OR-fold each multiplicand field onto its LSB (sub-field shifts
-  // cannot push a higher field's bits down to a lower field's LSB), expand
-  // the zero flags to full-field masks, drop those multiplier fields, and
-  // accumulate the surviving multiplier bits. Phantom fields past the row
-  // end hold zero multiplier bits, so they cannot contribute.
+  // ineffectual (sum == accumulator == 0 whatever the select bit says). Per
+  // word: adding the below-MSB ones to the multiplicand's low halves carries
+  // into a unit's MSB iff that unit is nonzero (the halves never reach the
+  // MSB, so nothing carries out of a unit). MSB minus LSB flag sets the
+  // bits below each flagged MSB -- no borrow crosses a unit -- which keeps
+  // the multiplier bits of nonzero units. Phantom units past the row end
+  // hold zero multiplier bits, so they cannot contribute.
+  const unsigned msb_shift = 2 * bits - 1;
   std::uint64_t acc = 0;
   for (std::size_t w = 0; w < row_a.word_count(); ++w) {
-    std::uint64_t aw = row_a.word(w) & low_halves;
-    const std::uint64_t bw = row_b.word(w) & low_halves;
-    for (std::size_t s = 1; s < unit_bits; s <<= 1) aw |= aw >> s;
-    acc |= bw & ~((~aw & unit_lsbs) * field_fill);
+    const std::uint64_t nonzero = ((row_a.word(w) & m.low_halves) + m.below_msbs) & m.msbs;
+    acc |= row_b.word(w) & m.low_halves & (nonzero - (nonzero >> msb_shift));
   }
   unsigned eff = 0;
   if (acc != 0) {
     // Fold every unit onto the low one (unit-multiple shifts preserve
     // in-field positions); the residue's bit width is the max effectual
     // multiplier depth across the row.
-    for (std::size_t s = unit_bits; s < 64; s <<= 1) acc |= acc >> s;
-    eff = static_cast<unsigned>(std::bit_width(unit_bits >= 64 ? acc : acc & field_fill));
+    for (unsigned s = 2 * bits; s < 64; s <<= 1) acc |= acc >> s;
+    eff = static_cast<unsigned>(std::bit_width(acc & m.fill));
   }
   if (policy.narrow_precision) plan.depth = eff;
   if (policy.skip_zero && eff == 0) {
@@ -380,25 +370,24 @@ MultPlan ImcMacro::plan_mult(RowRef a, RowRef b, unsigned bits, const AdaptivePo
   return plan;
 }
 
-BitVector ImcMacro::mult_impl(RowRef a, RowRef b, unsigned bits, const MultPlan& plan) {
+const BitVector& ImcMacro::mult_impl(RowRef a, RowRef b, unsigned bits, const MultPlan& plan) {
   BPIM_REQUIRE(is_supported_precision(bits), "unsupported precision");
   const std::size_t units = mult_units_per_row(bits);
   const unsigned unit_bits = 2 * bits;
+  const UnitMasks& m = unit_masks(bits);
   const RowRef d1 = RowRef::dummy(kDummyOperand);
   const RowRef d2 = RowRef::dummy(kDummyAccum);
-  const auto& p = energy_.params();
+  const auto& p = cost_.params();
   const double n_units = static_cast<double>(units);
 
   // Cycle 1: zero-init the accumulator row; load the multiplier FFs
   // (MSB-first release order -- the reversed B[3:0] -> B[0:3] of Fig 5).
-  BitVector zeros(cols());
-  write_back(d2, zeros, static_cast<double>(cols()) * p.zero_init_activity);
-  const BlReadout rb = array_.read_single(b);
+  drive_.fill(false);
+  write_back(d2, drive_, static_cast<double>(cols()) * p.zero_init_activity);
+  array_.read_single_into(b, sense_);
   charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
   charge(Component::FlipFlop, static_cast<double>(bits) * n_units);
-  std::vector<std::uint64_t> ff(units, 0);
-  for (std::size_t u = 0; u < units; ++u)
-    ff[u] = rb.bl_and.extract_bits(u * unit_bits, bits);
+  ff_ = sense_.bl_and;
 
   // Cycle 2: copy the multiplicand into the dummy operand row (low halves):
   // mask off the high half of every unit in one word-parallel AND. A
@@ -408,46 +397,39 @@ BitVector ImcMacro::mult_impl(RowRef a, RowRef b, unsigned bits, const MultPlan&
   // write-back happens. A skipped MULT (all products provably zero) elides
   // it too: the zero-initialised accumulator row already IS the result.
   if (!plan.skip && !plan.d1_staged) {
-    const BlReadout ra = array_.read_single(a);
-    std::uint64_t low_halves = 0;  // low `bits` of each unit set (unit_bits divides 64)
-    for (std::size_t i = 0; i < 64; i += unit_bits) low_halves |= ((1ull << bits) - 1) << i;
-    BitVector a_copy = ra.bl_and;
-    for (std::size_t w = 0; w < a_copy.word_count(); ++w)
-      a_copy.set_word(w, a_copy.word(w) & low_halves);
+    array_.read_single_into(a, sense_);
+    for (std::size_t w = 0; w < drive_.word_count(); ++w)
+      drive_.set_word(w, sense_.bl_and.word(w) & m.low_halves);
     charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
-    write_back(d1, a_copy, static_cast<double>(bits) * n_units);
+    write_back(d1, drive_, static_cast<double>(bits) * n_units);
   }
 
   // Cycles 3..N+2: (N-1) add-and-shift iterations plus the final ADD.
   // acc <- (ff_bit ? acc + A : acc), shifted left except on the last cycle.
-  // The per-unit FF bit selects between sum and accumulator through a
-  // broadcast field mask; the <<1 is the word-parallel in-field shift. All
-  // scratch (AddResult, select mask, next row) is reused across iterations.
+  // Iteration k releases multiplier bit N-1-k of every unit (MSB-first):
+  // shifting the FF row down by N-1-k lands that bit on each unit's LSB,
+  // and multiplying the LSB flags by a unit of ones broadcasts it into a
+  // whole-unit select mask -- one SWAR select per word. The <<1 is the
+  // word-parallel in-field shift.
   // An adaptive plan starts at k = bits - depth: every dropped leading
   // iteration is a per-unit no-op (multiplier bit zero keeps the still-zero
   // accumulator, and a shift of zero is zero; zero-multiplicand units see
   // sum == accumulator == 0 either way), so products are bit-identical.
-  periph::AddResult res;
-  BitVector sel(cols());
-  BitVector next(cols());
   for (unsigned k = bits - plan.depth; k < bits; ++k) {
     const bool last = (k + 1 == bits);
-    const BlReadout r = sense_dual(d1, d2);
-    FaLogics::add_into(r, unit_bits, false, res);
+    sense_dual(d1, d2);
+    FaLogics::add_into(sense_, unit_bits, false, fa_);
     const BitVector& acc = array_.row(d2);
-    for (std::size_t u = 0; u < units; ++u) {
-      const bool take_sum = (ff[u] >> (bits - 1 - k)) & 1u;  // MSB-first
-      sel.deposit_bits(u * unit_bits, unit_bits, take_sum ? ~0ull : 0);
+    const unsigned release = bits - 1 - k;
+    for (std::size_t w = 0; w < drive_.word_count(); ++w) {
+      const std::uint64_t sel = ((ff_.word(w) >> release) & m.lsbs) * m.fill;
+      drive_.set_word(w, (fa_.sum.word(w) & sel) | (acc.word(w) & ~sel));
     }
-    for (std::size_t w = 0; w < next.word_count(); ++w) {
-      const std::uint64_t s = sel.word(w);
-      next.set_word(w, (res.sum.word(w) & s) | (acc.word(w) & ~s));
-    }
-    if (!last) next.shl1_in_fields(unit_bits);  // <<1 via the propagation path
-    charge(compute_price(d1, d2), static_cast<double>(cols()));
+    if (!last) drive_.shl1_in_fields(unit_bits);  // <<1 via the propagation path
+    charge(CostModel::compute_price(d1, d2), static_cast<double>(cols()));
     charge(Component::FaLogic, static_cast<double>(cols()));
     charge(Component::FlipFlop, n_units);
-    write_back(d2, next, static_cast<double>(cols()) * p.mult_wb_activity);
+    write_back(d2, drive_, static_cast<double>(cols()) * p.mult_wb_activity);
   }
 
   // The plan owns the cycle split; op_cycles(MULT, bits) == plan.cycles()

@@ -18,6 +18,13 @@
 // same component prices the closed-form EnergyModel uses, and advances the
 // cycle counter per Table 1.
 //
+// Latches: like the hardware, the macro computes through fixed per-macro
+// storage -- the SA readout, the FA outputs, the multiplier FF row and the
+// write-back driver row -- sized once at construction, so no row op
+// allocates. A row op's returned `const BitVector&` names the latch (or the
+// dummy row) its result was driven into: it stays valid until the macro's
+// next op, and a caller that keeps a result copies it.
+//
 // Execution contract: the compute entry points below are the *controller's*
 // surface. Everything above the macro layer (engine/serve/app) executes
 // through verified macro::Programs via MacroController -- a CI grep gate
@@ -29,36 +36,19 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "array/sram_array.hpp"
 #include "common/bitvec.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
 #include "energy/energy_model.hpp"
+#include "macro/config.hpp"
+#include "macro/cost_model.hpp"
 #include "macro/isa.hpp"
 #include "periph/falogics.hpp"
-#include "timing/freq_model.hpp"
 
 namespace bpim::macro {
-
-struct MacroConfig {
-  array::ArrayGeometry geometry{};
-  Volt vdd{0.9};
-  energy::SeparatorMode separator = energy::SeparatorMode::Enabled;
-  energy::EnergyParams energy_params{};
-  WlScheme wl_scheme = WlScheme::ShortPulseBoost;
-  /// When true, dual-WL computes under an unsafe WL scheme stochastically
-  /// flip victim cells (see DisturbModel); the proposed scheme is immune.
-  bool inject_disturb = false;
-  std::uint64_t seed = 0x6B1Dull;
-  timing::FreqModelConfig freq{};
-};
-
-/// Cycle time of a macro built with `cfg` under its WL scheme and separator
-/// mode, composed from the given frequency model. Shared by
-/// ImcMacro::cycle_time() and macro::CostModel, so instruction-driven
-/// pricing can never drift from the executing macro's tick.
-[[nodiscard]] Second scheme_cycle_time(const MacroConfig& cfg, const timing::FreqModel& freq);
 
 /// Per-scheme probability that a vulnerable cell flips during one dual-WL
 /// compute. Values for ShortPulseBoost/Wlud are the measured iso-ADM rates
@@ -106,30 +96,33 @@ class ImcMacro {
 
   // ---- standard SRAM access (charged; the macro is still a memory) --------
   /// Normal read of a full row (single-WL, 1 cycle).
-  BitVector read_row(std::size_t r);
+  const BitVector& read_row(std::size_t r);
   /// Normal write of a full row (1 cycle, drives the full-height BLs).
   void write_row(std::size_t r, const BitVector& data);
 
   // ---- compute operations (charged) ---------------------------------------
+  // Each returns the row its result was driven into (see "Latches" above).
   /// Dual-WL logic op across all columns (1 cycle).
-  BitVector logic_rows(periph::LogicFn fn, array::RowRef a, array::RowRef b);
+  const BitVector& logic_rows(periph::LogicFn fn, array::RowRef a, array::RowRef b);
   /// Single-WL op: NOT / COPY / SHIFT(<<1 per precision word) of row `src`,
   /// written back to `dest` (1 cycle).
-  BitVector unary_row(Op op, array::RowRef src, array::RowRef dest, unsigned bits);
+  const BitVector& unary_row(Op op, array::RowRef src, array::RowRef dest, unsigned bits);
   /// Bit-parallel ADD of all words of two rows (1 cycle, result driven out;
   /// pass `dest` to also write it back).
-  BitVector add_rows(array::RowRef a, array::RowRef b, unsigned bits,
-                     std::optional<array::RowRef> dest = std::nullopt, bool carry_in = false);
+  const BitVector& add_rows(array::RowRef a, array::RowRef b, unsigned bits,
+                            std::optional<array::RowRef> dest = std::nullopt,
+                            bool carry_in = false);
   /// ADD followed by the <<1 write-back path (1 cycle, requires dest).
-  BitVector add_shift_rows(array::RowRef a, array::RowRef b, unsigned bits, array::RowRef dest);
+  const BitVector& add_shift_rows(array::RowRef a, array::RowRef b, unsigned bits,
+                                  array::RowRef dest);
   /// Two's-complement SUB: a - b (2 cycles: NOT -> dummy, ADD with cin=1).
-  BitVector sub_rows(array::RowRef a, array::RowRef b, unsigned bits);
+  const BitVector& sub_rows(array::RowRef a, array::RowRef b, unsigned bits);
   /// Bit-parallel MULT on 2N-bit units (N+2 cycles static; fewer under an
   /// enabled AdaptivePolicy -- see plan_mult). Operands in the low halves of
-  /// each unit of rows a (multiplicand) and b (multiplier); returns the row
-  /// of 2N-bit products (also left in dummy row D2).
-  BitVector mult_rows(array::RowRef a, array::RowRef b, unsigned bits,
-                      const AdaptivePolicy& policy = {});
+  /// each unit of rows a (multiplicand) and b (multiplier); returns dummy
+  /// row D2, which holds the row of 2N-bit products.
+  const BitVector& mult_rows(array::RowRef a, array::RowRef b, unsigned bits,
+                             const AdaptivePolicy& policy = {});
   /// MULT as the non-head link of a fused MAC chain. `pipelined` overlaps
   /// cycle 1 (D2 zero-init + FF load) with the predecessor MULT's final
   /// write-back (-1 cycle, same energy); `d1_staged` additionally skips the
@@ -137,14 +130,14 @@ class ImcMacro {
   /// MULT of the same multiplicand row at the same precision, so D1 still
   /// holds the masked copy (-1 cycle and its staging energy). Products are
   /// bit-identical to mult_rows().
-  BitVector mult_rows_chained(array::RowRef a, array::RowRef b, unsigned bits,
-                              bool d1_staged, bool pipelined,
-                              const AdaptivePolicy& policy = {});
+  const BitVector& mult_rows_chained(array::RowRef a, array::RowRef b, unsigned bits,
+                                     bool d1_staged, bool pipelined,
+                                     const AdaptivePolicy& policy = {});
   /// Resolve the adaptive execution plan of one MULT from the operand data:
-  /// SWAR-scan the unit fields (zero_field_mask on the multiplicand,
-  /// field_max_set_bit on the effectual multiplier bits) for the max
-  /// effectual depth E, then narrow the iteration count to E
-  /// (narrow_precision) and/or skip the op body when E == 0 (skip_zero).
+  /// SWAR-scan the unit fields (zero multiplicand units drop their
+  /// multiplier bits; the rest are OR-folded) for the max effectual depth
+  /// E, then narrow the iteration count to E (narrow_precision) and/or skip
+  /// the op body when E == 0 (skip_zero).
   /// The scan itself is uncharged: it models the peripheral's zero/msb
   /// detectors reading the operands as they stream through the FF load and
   /// staging cycles the op performs anyway.
@@ -155,8 +148,8 @@ class ImcMacro {
   /// plan once, price it, execute it). The plan must come from plan_mult on
   /// the current operand data -- a stale or hand-built plan that skips
   /// effectual iterations yields wrong products.
-  BitVector mult_rows_planned(array::RowRef a, array::RowRef b, unsigned bits,
-                              const MultPlan& plan);
+  const BitVector& mult_rows_planned(array::RowRef a, array::RowRef b, unsigned bits,
+                                     const MultPlan& plan);
 
   // ---- accounting ---------------------------------------------------------
   [[nodiscard]] ExecStats last_op() const { return last_; }
@@ -168,8 +161,11 @@ class ImcMacro {
   void reset_counters();
 
   /// Cycle time / fmax for this macro's scheme and separator mode.
-  [[nodiscard]] Second cycle_time() const;
-  [[nodiscard]] Hertz fmax() const;
+  [[nodiscard]] Second cycle_time() const { return cost_.cycle_time(); }
+  [[nodiscard]] Hertz fmax() const { return frequency_of(cycle_time()); }
+  /// The instruction-driven cost model of this macro's config, built once;
+  /// its price table is the one this macro's ledger charges from.
+  [[nodiscard]] const CostModel& cost_model() const { return cost_; }
 
   /// Count of cells corrupted by injected read disturb so far.
   [[nodiscard]] std::uint64_t disturb_flips() const { return disturb_flips_; }
@@ -180,29 +176,35 @@ class ImcMacro {
   static constexpr std::size_t kDummyAccum = 2;    ///< MULT accumulator / results
 
  private:
-  BitVector mult_impl(array::RowRef a, array::RowRef b, unsigned bits, const MultPlan& plan);
-  [[nodiscard]] energy::Component compute_price(array::RowRef a, array::RowRef b) const;
-  [[nodiscard]] energy::Component wb_price() const;
+  const BitVector& mult_impl(array::RowRef a, array::RowRef b, unsigned bits,
+                             const MultPlan& plan);
   void charge(energy::Component c, double bits);
   void finish_op(unsigned cycles);
   /// Write with separator management + write-back energy for `bits` bits.
   void write_back(array::RowRef dest, const BitVector& data, double charged_bits);
-  array::BlReadout sense_dual(array::RowRef a, array::RowRef b);
+  /// Dual-WL compute of rows a and b into the SA latch (plus disturb).
+  void sense_dual(array::RowRef a, array::RowRef b);
   /// Apply stochastic disturb to vulnerable columns of a dual-WL access.
   void maybe_disturb(array::RowRef a, array::RowRef b);
 
   MacroConfig cfg_;
   array::SramArray array_;
-  energy::EnergyModel energy_;
-  timing::FreqModel freq_;
+  CostModel cost_;
   DisturbModel disturb_;
   Rng rng_;
+
+  // Peripheral latches, sized to the row at construction (see "Latches").
+  array::BlReadout sense_;  ///< SA outputs of the last BL access
+  periph::AddResult fa_;    ///< FA-Logics outputs of the last addition
+  BitVector ff_;            ///< multiplier flip-flops (the latched multiplier row)
+  BitVector drive_;         ///< Y-path / write-back driver row
+  std::vector<std::size_t> disturb_cols_;  ///< vulnerable columns of a flipping access
 
   ExecStats last_{};
   Joule pending_energy_{0.0};
   std::uint64_t total_cycles_ = 0;
   Joule total_energy_{0.0};
-  std::array<Joule, 8> component_energy_{};  // indexed by Component
+  std::array<Joule, energy::kComponentCount> component_energy_{};  // indexed by Component
   std::uint64_t disturb_flips_ = 0;
 };
 

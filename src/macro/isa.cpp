@@ -50,8 +50,4 @@ const char* to_string(WlScheme s) {
   return "??";
 }
 
-bool is_supported_precision(unsigned bits) {
-  return bits == 2 || bits == 4 || bits == 8 || bits == 16 || bits == 32;
-}
-
 }  // namespace bpim::macro

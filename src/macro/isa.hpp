@@ -44,7 +44,9 @@ enum class WlScheme {
 
 /// Supported operand precisions (the paper implements 2/4/8 and states the
 /// same method extends to 16/32).
-[[nodiscard]] bool is_supported_precision(unsigned bits);
+[[nodiscard]] constexpr bool is_supported_precision(unsigned bits) {
+  return bits == 2 || bits == 4 || bits == 8 || bits == 16 || bits == 32;
+}
 
 /// Sparsity/precision-adaptive execution policy (DynamicStripes-style
 /// narrowing + zero-operand skipping). Data-dependent and bit-exact: the

@@ -181,8 +181,8 @@ ProgramStats MacroController::run(const VerifiedProgram& vp, std::vector<TraceEn
   // cross-checked against the executing datapath's ledger. Cycles are
   // asserted here on every instruction; the energy half of the conservation
   // law (bitwise ledger equality) is asserted in test_macro_accounting /
-  // test_macro_energy.
-  const CostModel cost(macro_.config());
+  // test_macro_energy. The macro owns its cost model, built once.
+  const CostModel& cost = macro_.cost_model();
   ProgramStats stats;
   const Instruction* prev = nullptr;
   // What the masked-copy dummy row D1 currently holds. A MULT whose staging
@@ -199,7 +199,7 @@ ProgramStats MacroController::run(const VerifiedProgram& vp, std::vector<TraceEn
   } staged;
   const array::RowRef d1_row = array::RowRef::dummy(ImcMacro::kDummyOperand);
   for (const Instruction& i : p.instructions()) {
-    BitVector result;
+    const BitVector* result = nullptr;  // the macro's latch; valid until its next op
     InstructionCost priced;
     MultPlan plan;
     unsigned adaptive = 0;
@@ -211,25 +211,25 @@ ProgramStats MacroController::run(const VerifiedProgram& vp, std::vector<TraceEn
       case Op::Xnor:
       case Op::Xor:
         priced = cost.instruction_cost(i, fuse_mac_chains ? prev : nullptr);
-        result = macro_.logic_rows(i.logic_fn, i.a, i.b);
+        result = &macro_.logic_rows(i.logic_fn, i.a, i.b);
         break;
       case Op::Not:
       case Op::Copy:
       case Op::Shift:
         priced = cost.instruction_cost(i, fuse_mac_chains ? prev : nullptr);
-        result = macro_.unary_row(i.op, i.a, *i.dest, i.bits);
+        result = &macro_.unary_row(i.op, i.a, *i.dest, i.bits);
         break;
       case Op::Add:
         priced = cost.instruction_cost(i, fuse_mac_chains ? prev : nullptr);
-        result = macro_.add_rows(i.a, i.b, i.bits, i.dest);
+        result = &macro_.add_rows(i.a, i.b, i.bits, i.dest);
         break;
       case Op::AddShift:
         priced = cost.instruction_cost(i, fuse_mac_chains ? prev : nullptr);
-        result = macro_.add_shift_rows(i.a, i.b, i.bits, *i.dest);
+        result = &macro_.add_shift_rows(i.a, i.b, i.bits, *i.dest);
         break;
       case Op::Sub:
         priced = cost.instruction_cost(i, fuse_mac_chains ? prev : nullptr);
-        result = macro_.sub_rows(i.a, i.b, i.bits);
+        result = &macro_.sub_rows(i.a, i.b, i.bits);
         break;
       case Op::Mult: {
         // Chain discount: a MULT directly after a MULT at the same precision
@@ -244,7 +244,7 @@ ProgramStats MacroController::run(const VerifiedProgram& vp, std::vector<TraceEn
             pipelined && staged.valid && staged.row == i.a && staged.bits == i.bits;
         plan = macro_.plan_mult(i.a, i.b, i.bits, policy, d1_staged, pipelined);
         priced = cost.instruction_cost(i, plan);
-        result = macro_.mult_rows_planned(i.a, i.b, i.bits, plan);
+        result = &macro_.mult_rows_planned(i.a, i.b, i.bits, plan);
         adaptive = plan.adaptive_cycles_saved(i.bits);
         break;
       }
@@ -279,7 +279,7 @@ ProgramStats MacroController::run(const VerifiedProgram& vp, std::vector<TraceEn
       if (table_cycles > priced.cycles) stats.fused_cycles_saved += table_cycles - priced.cycles;
     }
     stats.energy += priced.energy;
-    if (trace) trace->push_back(TraceEntry{i, es.cycles, es.op_energy, result, adaptive});
+    if (trace) trace->push_back(TraceEntry{i, es.cycles, es.op_energy, *result, adaptive});
     prev = &i;
   }
   stats.elapsed = cost.cycle_time() * static_cast<double>(stats.cycles);

@@ -21,17 +21,29 @@ BitVector FaLogics::xor_bits(const array::BlReadout& r) { return ~(r.bl_and | r.
 BitVector FaLogics::xnor_bits(const array::BlReadout& r) { return r.bl_and | r.bl_nor; }
 
 BitVector FaLogics::logic(const array::BlReadout& r, LogicFn fn) {
-  switch (fn) {
-    case LogicFn::And: return r.bl_and;
-    case LogicFn::Nand: return ~r.bl_and;
-    case LogicFn::Or: return ~r.bl_nor;
-    case LogicFn::Nor: return r.bl_nor;
-    case LogicFn::Xor: return xor_bits(r);
-    case LogicFn::Xnor: return xnor_bits(r);
-    case LogicFn::PassA: return r.bl_and;  // single-WL: BLT carries A
-    case LogicFn::NotA: return r.bl_nor;   // single-WL: BLB carries ~A
+  BitVector out;
+  logic_into(r, fn, out);
+  return out;
+}
+
+void FaLogics::logic_into(const array::BlReadout& r, LogicFn fn, BitVector& out) {
+  out.reset(r.bl_and.size());
+  for (std::size_t k = 0; k < out.word_count(); ++k) {
+    const std::uint64_t t = r.bl_and.word(k);  // BLT: A AND B (single-WL: A)
+    const std::uint64_t n = r.bl_nor.word(k);  // BLB: NOR(A, B) (single-WL: NOT A)
+    std::uint64_t w = t;
+    switch (fn) {
+      case LogicFn::And:
+      case LogicFn::PassA: w = t; break;
+      case LogicFn::Nand: w = ~t; break;
+      case LogicFn::Or: w = ~n; break;
+      case LogicFn::Nor:
+      case LogicFn::NotA: w = n; break;
+      case LogicFn::Xor: w = ~(t | n); break;
+      case LogicFn::Xnor: w = t | n; break;
+    }
+    out.set_word(k, w);  // trims the bits past the row end
   }
-  return r.bl_and;
 }
 
 namespace {

@@ -51,6 +51,8 @@ class FaLogics {
  public:
   /// Emit a logic function of the accessed row(s) from the SA outputs.
   [[nodiscard]] static BitVector logic(const array::BlReadout& r, LogicFn fn);
+  /// As logic(), into `out`'s storage (the macro's output latch).
+  static void logic_into(const array::BlReadout& r, LogicFn fn, BitVector& out);
 
   /// Segmented ripple (carry-select) addition. `precision` must divide the
   /// readout width; `carry_in` seeds every word segment (1 implements the
@@ -58,8 +60,8 @@ class FaLogics {
   [[nodiscard]] static AddResult add(const array::BlReadout& r, unsigned precision,
                                      bool carry_in);
 
-  /// As add(), but reuses `out`'s storage -- the MULT sequencer calls this
-  /// once per iteration and must not allocate three fresh vectors each time.
+  /// As add(), but reuses `out`'s storage -- the macro adds into its FA
+  /// latch on every ADD/SUB and MULT iteration and must not allocate.
   static void add_into(const array::BlReadout& r, unsigned precision, bool carry_in,
                        AddResult& out);
 
