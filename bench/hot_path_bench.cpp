@@ -6,9 +6,10 @@
 //   fa_add     FaLogics::add on a row-wide readout   vs naive per-bit ripple
 //   add_rows   full macro ADD op (sense + FA + stats) -- no per-bit reference;
 //              the pre-PR cost is fa_add's reference plus the same overheads
-//   mult       ImcMacro::mult_rows (N+2-cycle sequence) vs the naive per-bit
-//              add-and-shift datapath (reference excludes array/energy
-//              traffic, so the reported speedup is conservative)
+//   mult       ImcMacro::mult_rows (N+2-cycle sequence; closed-form product
+//              with disturb off) vs the naive per-bit add-and-shift datapath
+//              (reference excludes array/energy traffic, so the reported
+//              speedup is conservative)
 //   mult_program  the same MULT dispatched the way the engine now issues
 //              every op: cached, already-verified OpCompiler program run by
 //              a MacroController. Its reference is the direct mult_rows
@@ -27,7 +28,8 @@
 // have a perf trajectory; see README "Performance".
 //
 // Usage: hot_path_bench [--smoke] [--out <path>]
-//   --smoke   ~10x fewer iterations (CI-sized); same JSON shape
+//   --smoke   ~10x fewer iterations and 250 us instead of 2 ms per side of
+//             a paired rep (CI-sized); same JSON shape
 //   --out     output path (default BENCH_hotpath.json)
 
 #include <algorithm>
@@ -87,19 +89,31 @@ struct KernelResult {
   [[nodiscard]] double speedup() const { return ref_ns_per_op > 0 ? ref_ns_per_op / ns_per_op : 0; }
 };
 
+/// Calls of fn() that take at least `budget_ns` in one timed run, found by
+/// doubling from one call.
+template <class F>
+std::size_t calls_for_budget(double budget_ns, F&& fn) {
+  std::size_t calls = 1;
+  while (time_ns(calls, fn, 1) * static_cast<double>(calls) < budget_ns) calls *= 2;
+  return calls;
+}
+
 /// f() against its reference g(), timed in alternation so host drift hits
 /// both alike: best-of-15 ns per call of each, plus the median of the 15
-/// per-rep ratios f/g. A noisy rep moves only its own ratio, which the
-/// median discards; two independent best-of minima can each catch a
-/// different lucky rep.
+/// per-rep ratios f/g. Each rep times as many calls of each as g() needs
+/// to fill `budget_ns`, so a rep averages over the same host time whatever
+/// a call costs: a short timer tick or preemption moves only its own
+/// ratio, which the median discards; two independent best-of minima can
+/// each catch a different lucky rep.
 template <class F, class G>
-void time_pair(std::size_t iters, F&& f, G&& g, KernelResult& out) {
+void time_pair(double budget_ns, F&& f, G&& g, KernelResult& out) {
   constexpr int kReps = 15;
+  const std::size_t calls = calls_for_budget(budget_ns, g);
   std::array<double, kReps> ratios{};
   out.ns_per_op = out.ref_ns_per_op = 1e300;
   for (int rep = 0; rep < kReps; ++rep) {
-    const double fn = time_ns(iters, f, 1);
-    const double gn = time_ns(iters, g, 1);
+    const double fn = time_ns(calls, f, 1);
+    const double gn = time_ns(calls, g, 1);
     out.ns_per_op = std::min(out.ns_per_op, fn);
     out.ref_ns_per_op = std::min(out.ref_ns_per_op, gn);
     ratios[static_cast<std::size_t>(rep)] = fn / gn;
@@ -114,7 +128,7 @@ macro::MacroConfig bench_macro_cfg() {
   return cfg;
 }
 
-std::vector<KernelResult> bench_kernels(std::size_t iters) {
+std::vector<KernelResult> bench_kernels(std::size_t iters, double pair_budget_ns) {
   std::vector<KernelResult> out;
   Rng rng(0xBE9C);
 
@@ -166,7 +180,7 @@ std::vector<KernelResult> bench_kernels(std::size_t iters) {
     const macro::AdaptivePolicy adaptive{true, true};
     KernelResult ma{"mult_adaptive_dense", bits};
     time_pair(
-        iters / 4 + 1,
+        pair_budget_ns,
         [&] { (void)m.mult_rows(RowRef::main(0), RowRef::main(1), bits, adaptive); },
         [&] { (void)m.mult_rows(RowRef::main(0), RowRef::main(1), bits); }, ma);
     out.push_back(ma);
@@ -180,7 +194,7 @@ std::vector<KernelResult> bench_kernels(std::size_t iters) {
     macro::MacroController ctl(m);
     KernelResult mp{"mult_program", bits};
     time_pair(
-        iters / 4 + 1, [&] { (void)ctl.run(prog); },
+        pair_budget_ns, [&] { (void)ctl.run(prog); },
         [&] { (void)m.mult_rows(RowRef::main(0), RowRef::main(1), bits); }, mp);
     out.push_back(mp);
   }
@@ -292,13 +306,15 @@ int main(int argc, char** argv) {
   }
   const std::size_t iters = smoke ? 200 : 2000;
   const std::size_t forwards = smoke ? 3 : 20;
+  // Host time per side of one paired rep (see time_pair).
+  const double pair_budget_ns = smoke ? 250e3 : 2e6;
 
 #ifndef NDEBUG
   std::cout << "NOTE: assertions enabled (non-Release build) -- numbers are not "
                "representative; use -DCMAKE_BUILD_TYPE=Release.\n";
 #endif
 
-  const auto kernels = bench_kernels(iters);
+  const auto kernels = bench_kernels(iters, pair_budget_ns);
   const auto mlp = bench_mlp(forwards);
 
   print_banner(std::cout, "Hot-path kernels (one 128x" + std::to_string(kCols) +

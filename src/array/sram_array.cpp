@@ -75,8 +75,4 @@ BlReadout SramArray::read_single(RowRef r) const {
   return out;
 }
 
-std::size_t SramArray::toggle_count(RowRef r, const BitVector& incoming) const {
-  return (row(r) ^ incoming).popcount();
-}
-
 }  // namespace bpim::array

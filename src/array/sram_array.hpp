@@ -93,10 +93,6 @@ class SramArray {
   void compute_dual_into(RowRef a, RowRef b, BlReadout& out) const;
   void read_single_into(RowRef r, BlReadout& out) const;
 
-  /// Number of bits that differ from the currently stored row -- the
-  /// write-back switching activity used by the energy ledger.
-  [[nodiscard]] std::size_t toggle_count(RowRef r, const BitVector& incoming) const;
-
  private:
   ArrayGeometry geom_;
   std::vector<BitVector> main_;

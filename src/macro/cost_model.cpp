@@ -48,6 +48,41 @@ CostModel::CostModel(const MacroConfig& cfg)
   const energy::EnergyModel energy(cfg.energy_params);
   for (std::size_t c = 0; c < prices_.size(); ++c)
     prices_[c] = energy.price(static_cast<Component>(c), cfg.vdd);
+  // MULT price table: ImcMacro::mult_impl's charge sequence, charge for
+  // charge and in order (the bitwise-energy conservation law), folded once
+  // per precision and staging mode. Entry [depth] is the running fold after
+  // `depth` add-shift iterations, so it equals a fold stopped there.
+  const double n = static_cast<double>(geom_.cols);
+  const RowRef d1 = RowRef::dummy(ImcMacro::kDummyOperand);
+  const RowRef d2 = RowRef::dummy(ImcMacro::kDummyAccum);
+  for (unsigned bits = 2; bits <= kMaxMultBits; bits *= 2) {
+    const double n_units = static_cast<double>(geom_.cols / (2 * static_cast<std::size_t>(bits)));
+    for (const bool elided : {false, true}) {
+      Joule* row = &mult_energy_[elided][mult_slot(bits)];
+      Joule e{0.0};
+      const auto charge = [&](Component comp, double n_bits) { e += price(comp) * n_bits; };
+      // Cycle 1: D2 zero-init + multiplier FF load (always performed -- a
+      // skipped MULT's result is that zero-initialised accumulator row).
+      charge(wb_price(d2), n * params_.zero_init_activity);
+      charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
+      charge(Component::FlipFlop, static_cast<double>(bits) * n_units);
+      // Cycle 2: multiplicand staged into D1 (elided on a d1-staged link or
+      // a zero-skip plan).
+      if (!elided) {
+        charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
+        charge(wb_price(d1), static_cast<double>(bits) * n_units);
+      }
+      row[0] = e;
+      // Add-and-shift iterations on the separated segment.
+      for (unsigned k = 1; k <= bits; ++k) {
+        charge(compute_price(d1, d2), n);
+        charge(Component::FaLogic, n);
+        charge(Component::FlipFlop, n_units);
+        charge(wb_price(d2), n * params_.mult_wb_activity);
+        row[k] = e;
+      }
+    }
+  }
 }
 
 InstructionCost CostModel::instruction_cost(const Instruction& inst,
@@ -127,38 +162,10 @@ InstructionCost CostModel::instruction_cost(const Instruction& inst, const MultP
 }
 
 InstructionCost CostModel::mult_cost(unsigned bits, const MultPlan& plan) const {
-  // Mirrors ImcMacro::mult_impl's charge sequence under the same plan,
-  // charge for charge and in order (the bitwise-energy conservation law).
-  InstructionCost c;
-  Joule e{0.0};
-  const auto charge = [&](Component comp, double n_bits) { e += price(comp) * n_bits; };
-  const double n = static_cast<double>(geom_.cols);
-  const auto& p = params_;
-  const RowRef d1 = RowRef::dummy(ImcMacro::kDummyOperand);
-  const RowRef d2 = RowRef::dummy(ImcMacro::kDummyAccum);
-  const std::size_t units = geom_.cols / (2 * static_cast<std::size_t>(bits));
-  const double n_units = static_cast<double>(units);
-  // Cycle 1: D2 zero-init + multiplier FF load (always performed -- a
-  // skipped MULT's result is that zero-initialised accumulator row).
-  charge(wb_price(d2), n * p.zero_init_activity);
-  charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
-  charge(Component::FlipFlop, static_cast<double>(bits) * n_units);
-  // Cycle 2: multiplicand staged into D1 (skipped on a d1-staged link or a
-  // zero-skip plan).
-  if (!plan.skip && !plan.d1_staged) {
-    charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
-    charge(wb_price(d1), static_cast<double>(bits) * n_units);
-  }
-  // Add-and-shift iterations on the separated segment, to the plan's depth.
-  for (unsigned k = 0; k < plan.depth; ++k) {
-    charge(compute_price(d1, d2), n);
-    charge(Component::FaLogic, n);
-    charge(Component::FlipFlop, n_units);
-    charge(wb_price(d2), n * p.mult_wb_activity);
-  }
-  c.cycles = plan.cycles();
-  c.energy = e;
-  return c;
+  static_assert(kMultSlots == mult_slot(2 * kMaxMultBits));
+  BPIM_REQUIRE(is_supported_precision(bits) && plan.depth <= bits, "MULT plan out of range");
+  return InstructionCost{plan.cycles(),
+                         mult_energy_[plan.skip || plan.d1_staged][mult_slot(bits) + plan.depth]};
 }
 
 ProgramStats CostModel::program_cost(const Program& p, bool fuse_mac_chains) const {

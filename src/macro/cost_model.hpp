@@ -18,6 +18,9 @@
 // computed once, at construction, from EnergyModel::price. Every ImcMacro
 // owns a CostModel built from its config and charges its ledger through
 // price(), so the ledger and the static prices read the very same doubles.
+// MULT, the one op whose charge sequence has a variable length, is also
+// folded once at construction into a table by precision, staging mode and
+// iteration depth, so pricing a MULT is a table read.
 //
 // Chained-MAC pricing: pass the predecessor instruction to instruction_cost
 // (or set fuse_mac_chains on program_cost) and back-to-back MULTs at one
@@ -26,6 +29,8 @@
 // (-1 cycle more) -- the same discounts MacroController::run applies.
 
 #include <array>
+#include <bit>
+#include <cstddef>
 #include <cstdint>
 
 #include "energy/energy_model.hpp"
@@ -95,12 +100,24 @@ class CostModel {
   }
 
  private:
+  /// A MULT's price under a plan: plan.cycles() and one table read.
   [[nodiscard]] InstructionCost mult_cost(unsigned bits, const MultPlan& plan) const;
+
+  /// Start of precision `bits`' entries in a mult_energy_ row: one entry
+  /// per depth 0..bits for bits = 2, 4, ..., 32, back to back.
+  static constexpr std::size_t mult_slot(unsigned bits) {
+    return bits + static_cast<std::size_t>(std::countr_zero(bits)) - 3;
+  }
+  static constexpr unsigned kMaxMultBits = 32;
+  static constexpr std::size_t kMultSlots = 67;  // mult_slot(64): 3 + 5 + 9 + 17 + 33
 
   array::ArrayGeometry geom_;
   energy::SeparatorMode separator_;
   energy::EnergyParams params_;
   std::array<Joule, energy::kComponentCount> prices_{};
+  /// MULT energy by [staging elided][mult_slot(bits) + depth]: the charge
+  /// fold through `depth` add-shift iterations (see the constructor).
+  std::array<std::array<Joule, kMultSlots>, 2> mult_energy_{};
   Second cycle_time_;
 };
 

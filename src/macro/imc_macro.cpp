@@ -128,11 +128,15 @@ void ImcMacro::finish_op(unsigned cycles) {
   pending_energy_ = Joule(0.0);
 }
 
-void ImcMacro::write_back(RowRef dest, const BitVector& data, double charged_bits) {
+void ImcMacro::store(RowRef dest, const BitVector& data) {
   if (cfg_.separator == SeparatorMode::Enabled && dest.is_dummy())
     array_.set_separated(true);  // adaptive: cut the heavy main-segment BL
   array_.write_row(dest, data);
   array_.set_separated(false);
+}
+
+void ImcMacro::write_back(RowRef dest, const BitVector& data, double charged_bits) {
+  store(dest, data);
   charge(cost_.wb_price(dest), charged_bits);
 }
 
@@ -144,8 +148,12 @@ void ImcMacro::sense_dual(RowRef a, RowRef b) {
   maybe_disturb(a, b);
 }
 
+bool ImcMacro::draws_disturb() const {
+  return cfg_.inject_disturb && disturb_.flip_probability > 0.0;
+}
+
 void ImcMacro::maybe_disturb(RowRef a, RowRef b) {
-  if (!cfg_.inject_disturb || disturb_.flip_probability <= 0.0) return;
+  if (!draws_disturb()) return;
   // Vulnerable columns hold complementary data: one cell discharges a BL and
   // the other cell's node on that BL sags toward it (paper Fig 1).
   const BitVector& row_a = array_.row(a);
@@ -348,14 +356,18 @@ MultPlan ImcMacro::plan_mult(RowRef a, RowRef b, unsigned bits, const AdaptivePo
   // bits below each flagged MSB -- no borrow crosses a unit -- which keeps
   // the multiplier bits of nonzero units. Phantom units past the row end
   // hold zero multiplier bits, so they cannot contribute.
+  // The multiplier's high halves are masked off once, after the loop.
   const unsigned msb_shift = 2 * bits - 1;
   std::uint64_t acc = 0;
   for (std::size_t w = 0; w < row_a.word_count(); ++w) {
     const std::uint64_t nonzero = ((row_a.word(w) & m.low_halves) + m.below_msbs) & m.msbs;
-    acc |= row_b.word(w) & m.low_halves & (nonzero - (nonzero >> msb_shift));
+    acc |= row_b.word(w) & (nonzero - (nonzero >> msb_shift));
   }
+  acc &= m.low_halves;
   unsigned eff = 0;
-  if (acc != 0) {
+  if ((acc & (m.lsbs << (bits - 1))) != 0) {
+    eff = bits;  // some unit's multiplier MSB is effectual: nothing narrows
+  } else if (acc != 0) {
     // Fold every unit onto the low one (unit-multiple shifts preserve
     // in-field positions); the residue's bit width is the max effectual
     // multiplier depth across the row.
@@ -404,32 +416,64 @@ const BitVector& ImcMacro::mult_impl(RowRef a, RowRef b, unsigned bits, const Mu
     write_back(d1, drive_, static_cast<double>(bits) * n_units);
   }
 
-  // Cycles 3..N+2: (N-1) add-and-shift iterations plus the final ADD.
-  // acc <- (ff_bit ? acc + A : acc), shifted left except on the last cycle.
-  // Iteration k releases multiplier bit N-1-k of every unit (MSB-first):
-  // shifting the FF row down by N-1-k lands that bit on each unit's LSB,
-  // and multiplying the LSB flags by a unit of ones broadcasts it into a
-  // whole-unit select mask -- one SWAR select per word. The <<1 is the
-  // word-parallel in-field shift.
-  // An adaptive plan starts at k = bits - depth: every dropped leading
-  // iteration is a per-unit no-op (multiplier bit zero keeps the still-zero
-  // accumulator, and a shift of zero is zero; zero-multiplicand units see
-  // sum == accumulator == 0 either way), so products are bit-identical.
-  for (unsigned k = bits - plan.depth; k < bits; ++k) {
-    const bool last = (k + 1 == bits);
-    sense_dual(d1, d2);
-    FaLogics::add_into(sense_, unit_bits, false, fa_);
-    const BitVector& acc = array_.row(d2);
-    const unsigned release = bits - 1 - k;
-    for (std::size_t w = 0; w < drive_.word_count(); ++w) {
-      const std::uint64_t sel = ((ff_.word(w) >> release) & m.lsbs) * m.fill;
-      drive_.set_word(w, (fa_.sum.word(w) & sel) | (acc.word(w) & ~sel));
-    }
-    if (!last) drive_.shl1_in_fields(unit_bits);  // <<1 via the propagation path
-    charge(CostModel::compute_price(d1, d2), static_cast<double>(cols()));
-    charge(Component::FaLogic, static_cast<double>(cols()));
+  // Cycles 3..N+2: (N-1) add-and-shift iterations plus the final ADD, one
+  // ledger charge set per iteration (the order CostModel folds them in).
+  const double n = static_cast<double>(cols());
+  const auto charge_iteration = [&] {
+    charge(CostModel::compute_price(d1, d2), n);
+    charge(Component::FaLogic, n);
     charge(Component::FlipFlop, n_units);
-    write_back(d2, drive_, static_cast<double>(cols()) * p.mult_wb_activity);
+    charge(cost_.wb_price(d2), n * p.mult_wb_activity);
+  };
+  if (!draws_disturb()) {
+    // Closed form: with no disturb to draw, nothing observes the partial
+    // products, and D1 stays as it stands through every iteration. Unit u
+    // of D2 then ends at D1_u * (FF_u mod 2^depth) mod 2^2N -- the MSB-
+    // first add-and-shift of the multiplier's low `depth` bits -- for every
+    // plan, hand-built and d1-staged ones included (a staged D1 may hold
+    // high-half bits; they multiply in exactly as the iterated adds fold
+    // them). One host multiply per unit, one write of D2.
+    if (plan.depth > 0) {
+      const BitVector& op = array_.row(d1);
+      const std::uint64_t depth_mask = (1ull << plan.depth) - 1;
+      for (std::size_t w = 0; w < drive_.word_count(); ++w) {
+        const std::uint64_t x = op.word(w);
+        const std::uint64_t y = ff_.word(w);
+        std::uint64_t prod = 0;
+        for (unsigned s = 0; s < 64; s += unit_bits)
+          prod |= ((((x >> s) & m.fill) * ((y >> s) & depth_mask)) & m.fill) << s;
+        drive_.set_word(w, prod);
+      }
+      store(d2, drive_);
+      for (unsigned k = 0; k < plan.depth; ++k) charge_iteration();
+    }
+  } else {
+    // Iterated: each iteration's dual-WL access draws disturb against
+    // D1 XOR D2 as it stands, so the loop steps the hardware sequence.
+    // acc <- (ff_bit ? acc + A : acc), shifted left except on the last
+    // cycle. Iteration k releases multiplier bit N-1-k of every unit
+    // (MSB-first): shifting the FF row down by N-1-k lands that bit on each
+    // unit's LSB, and multiplying the LSB flags by a unit of ones broadcasts
+    // it into a whole-unit select mask -- one SWAR select per word. The <<1
+    // is the word-parallel in-field shift.
+    // An adaptive plan starts at k = bits - depth: every dropped leading
+    // iteration is a per-unit no-op (multiplier bit zero keeps the still-
+    // zero accumulator, and a shift of zero is zero; zero-multiplicand units
+    // see sum == accumulator == 0 either way), so products are bit-identical.
+    for (unsigned k = bits - plan.depth; k < bits; ++k) {
+      const bool last = (k + 1 == bits);
+      sense_dual(d1, d2);
+      FaLogics::add_into(sense_, unit_bits, false, fa_);
+      const BitVector& acc = array_.row(d2);
+      const unsigned release = bits - 1 - k;
+      for (std::size_t w = 0; w < drive_.word_count(); ++w) {
+        const std::uint64_t sel = ((ff_.word(w) >> release) & m.lsbs) * m.fill;
+        drive_.set_word(w, (fa_.sum.word(w) & sel) | (acc.word(w) & ~sel));
+      }
+      if (!last) drive_.shl1_in_fields(unit_bits);  // <<1 via the propagation path
+      store(d2, drive_);
+      charge_iteration();
+    }
   }
 
   // The plan owns the cycle split; op_cycles(MULT, bits) == plan.cycles()

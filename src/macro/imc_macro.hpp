@@ -121,6 +121,19 @@ class ImcMacro {
   /// enabled AdaptivePolicy -- see plan_mult). Operands in the low halves of
   /// each unit of rows a (multiplicand) and b (multiplier); returns dummy
   /// row D2, which holds the row of 2N-bit products.
+  ///
+  /// Cycles 1 and 2 (D2 zero-init + FF load, D1 staging) always run as the
+  /// hardware does. The add-and-shift iterations are evaluated two ways:
+  ///  * iterated, when a dual-WL access can draw disturb (inject_disturb on
+  ///    at a nonzero flip probability): each iteration senses D1 and D2,
+  ///    draws against D1 XOR D2 and writes D2 back, in hardware order;
+  ///  * closed form, otherwise: unit u of D2 becomes
+  ///    D1_u * (FF_u mod 2^depth) mod 2^2N in one host multiply per unit
+  ///    and one D2 write (none when depth is 0).
+  /// Both leave D1, D2, the FF row, cycles and ledger energy bit-identical
+  /// (the ledger takes the same four charges per iteration either way). The
+  /// SA, FA and driver latches are scratch: their contents after a MULT are
+  /// unspecified.
   const BitVector& mult_rows(array::RowRef a, array::RowRef b, unsigned bits,
                              const AdaptivePolicy& policy = {});
   /// MULT as the non-head link of a fused MAC chain. `pipelined` overlaps
@@ -180,10 +193,16 @@ class ImcMacro {
                              const MultPlan& plan);
   void charge(energy::Component c, double bits);
   void finish_op(unsigned cycles);
-  /// Write with separator management + write-back energy for `bits` bits.
+  /// Write with separator management (uncharged).
+  void store(array::RowRef dest, const BitVector& data);
+  /// store() + write-back energy for `charged_bits` bits.
   void write_back(array::RowRef dest, const BitVector& data, double charged_bits);
   /// Dual-WL compute of rows a and b into the SA latch (plus disturb).
   void sense_dual(array::RowRef a, array::RowRef b);
+  /// True when a dual-WL access can flip cells: injection on at a nonzero
+  /// flip probability. maybe_disturb draws only then, and MULT iterates
+  /// only then (see mult_rows).
+  [[nodiscard]] bool draws_disturb() const;
   /// Apply stochastic disturb to vulnerable columns of a dual-WL access.
   void maybe_disturb(array::RowRef a, array::RowRef b);
 

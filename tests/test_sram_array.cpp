@@ -87,12 +87,6 @@ TEST(SramArray, SeparatorBlocksCrossSegmentDual) {
   EXPECT_NO_THROW(a.compute_dual(RowRef::main(0), RowRef::dummy(0)));
 }
 
-TEST(SramArray, ToggleCountCountsHammingDistance) {
-  SramArray a(small());
-  a.write_row(RowRef::dummy(2), BitVector(16, 0b1111));
-  EXPECT_EQ(a.toggle_count(RowRef::dummy(2), BitVector(16, 0b1001)), 2u);
-}
-
 TEST(SramArray, DefaultGeometryMatchesPaperMacro) {
   const ArrayGeometry g;
   EXPECT_EQ(g.rows, 128u);
