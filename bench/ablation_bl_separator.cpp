@@ -10,6 +10,8 @@
 #include "common/table.hpp"
 #include "energy/energy_model.hpp"
 #include "macro/imc_macro.hpp"
+#include "macro/program.hpp"
+#include "macro/verifier.hpp"
 #include "timing/freq_model.hpp"
 
 using namespace bpim;
@@ -29,13 +31,16 @@ int main() {
         macro::MacroConfig cfg;
         cfg.separator = sep;
         macro::ImcMacro m(cfg);
+        macro::MacroController ctl(m);
+        const auto energy = [&](const macro::Program& p) {
+          return in_fJ(ctl.run(macro::verify(p, m.config().geometry)).energy);
+        };
         if (std::string(op) == "SUB") {
-          m.sub_rows(RowRef::main(0), RowRef::main(1), bits);
-          fj[i++] = in_fJ(m.last_op().op_energy) / static_cast<double>(m.words_per_row(bits));
+          fj[i++] = energy(macro::Program().sub(RowRef::main(0), RowRef::main(1), bits)) /
+                    static_cast<double>(m.words_per_row(bits));
         } else {
-          m.mult_rows(RowRef::main(0), RowRef::main(1), bits);
-          fj[i++] =
-              in_fJ(m.last_op().op_energy) / static_cast<double>(m.mult_units_per_row(bits));
+          fj[i++] = energy(macro::Program().mult(RowRef::main(0), RowRef::main(1), bits)) /
+                    static_cast<double>(m.mult_units_per_row(bits));
         }
       }
       t.add_row({op, std::to_string(bits), TextTable::num(fj[0], 1), TextTable::num(fj[1], 1),

@@ -11,6 +11,8 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "macro/imc_macro.hpp"
+#include "macro/program.hpp"
+#include "macro/verifier.hpp"
 
 using namespace bpim;
 using array::RowRef;
@@ -19,29 +21,38 @@ using macro::Op;
 
 namespace {
 
+struct Outcome {
+  std::uint64_t product = 0;
+  std::uint64_t cycles = 0;
+};
+
+/// Runs `p` on `m` as a verified program; returns its executed cycles.
+std::uint64_t run_cycles(ImcMacro& m, const macro::Program& p) {
+  macro::MacroController ctl(m);
+  return ctl.run(macro::verify(p, m.config().geometry)).cycles;
+}
+
 /// Conventional schedule: for every set multiplier bit, shift a copy of the
 /// multiplicand into place (i single-cycle SHIFT ops for bit i) and ADD it
 /// into the accumulator. Rows: D0 = shifted multiplicand, D2 = accumulator.
-std::uint64_t conventional_mult(ImcMacro& m, std::uint64_t a, std::uint64_t b, unsigned bits) {
+Outcome conventional_mult(ImcMacro& m, std::uint64_t a, std::uint64_t b, unsigned bits) {
   const unsigned wide = 2 * bits;
+  const RowRef d0 = RowRef::dummy(ImcMacro::kDummyZero);
+  const RowRef d2 = RowRef::dummy(ImcMacro::kDummyAccum);
   m.poke_mult_operand(10, 0, bits, a);          // multiplicand in a 2N-bit slot
   m.poke_row(11, BitVector(m.cols()));          // accumulator source row = 0
-  // acc starts as zero in D2.
-  m.unary_row(Op::Copy, RowRef::main(11), RowRef::dummy(ImcMacro::kDummyAccum), wide);
-  // Working copy of A in D0.
-  m.unary_row(Op::Copy, RowRef::main(10), RowRef::dummy(ImcMacro::kDummyZero), wide);
+  macro::Program p;
+  p.unary(Op::Copy, RowRef::main(11), d2, wide);  // acc starts as zero in D2
+  p.unary(Op::Copy, RowRef::main(10), d0, wide);  // working copy of A in D0
   for (unsigned i = 0; i < bits; ++i) {
-    if (i > 0)  // align the partial product: one SHIFT op per bit position
-      m.unary_row(Op::Shift, RowRef::dummy(ImcMacro::kDummyZero),
-                  RowRef::dummy(ImcMacro::kDummyZero), wide);
-    if ((b >> i) & 1u)
-      m.add_rows(RowRef::dummy(ImcMacro::kDummyZero), RowRef::dummy(ImcMacro::kDummyAccum),
-                 wide, RowRef::dummy(ImcMacro::kDummyAccum));
+    if (i > 0) p.unary(Op::Shift, d0, d0, wide);  // align the partial product
+    if ((b >> i) & 1u) p.add(d0, d2, wide, d2);
   }
-  std::uint64_t v = 0;
-  const BitVector& acc = m.sram().row(RowRef::dummy(ImcMacro::kDummyAccum));
-  for (unsigned i = 0; i < wide; ++i) v |= static_cast<std::uint64_t>(acc.get(i)) << i;
-  return v;
+  Outcome out;
+  out.cycles = run_cycles(m, p);
+  const BitVector& acc = m.sram().row(d2);
+  for (unsigned i = 0; i < wide; ++i) out.product |= static_cast<std::uint64_t>(acc.get(i)) << i;
+  return out;
 }
 
 }  // namespace
@@ -62,14 +73,13 @@ int main() {
     ImcMacro prop{macro::MacroConfig{}};
     prop.poke_mult_operand(0, 0, bits, a);
     prop.poke_mult_operand(1, 0, bits, b);
-    const BitVector p = prop.mult_rows(RowRef::main(0), RowRef::main(1), bits);
-    const std::uint64_t prop_result = prop.peek_mult_product(p, 0, bits);
-    const std::uint64_t prop_cycles = prop.total_cycles();
+    const std::uint64_t prop_cycles =
+        run_cycles(prop, macro::Program().mult(RowRef::main(0), RowRef::main(1), bits));
+    const std::uint64_t prop_result =
+        prop.peek_mult_product(prop.sram().row(RowRef::dummy(ImcMacro::kDummyAccum)), 0, bits);
 
     ImcMacro conv{macro::MacroConfig{}};
-    conv.reset_counters();
-    const std::uint64_t conv_result = conventional_mult(conv, a, b, bits);
-    const std::uint64_t conv_cycles = conv.total_cycles();
+    const auto [conv_result, conv_cycles] = conventional_mult(conv, a, b, bits);
 
     // Paper's Fig 5 top-left schedule: partial product i needs i fresh
     // shifts of the multiplicand (no reuse) plus an add; plus 2 init copies.

@@ -13,6 +13,8 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "macro/imc_macro.hpp"
+#include "macro/program.hpp"
+#include "macro/verifier.hpp"
 
 using namespace bpim;
 using array::RowRef;
@@ -21,7 +23,13 @@ int main() {
   print_banner(std::cout, "Ablation -- reconfigurable precision (MULT on one 128-col macro)");
 
   macro::ImcMacro m{macro::MacroConfig{}};
+  macro::MacroController ctl(m);
   Rng rng(0xF16);
+  // One MULT of rows 0 x 1, executed as a verified program.
+  const auto mult = [&](unsigned bits, const macro::AdaptivePolicy& policy) {
+    const macro::Program p = macro::Program().mult(RowRef::main(0), RowRef::main(1), bits);
+    return ctl.run(macro::verify(p, m.config().geometry), {}, false, policy);
+  };
 
   // Representative operands per precision: dense nonzero multiplicands
   // against multipliers that are zero half the time (a ReLU'd stream).
@@ -36,22 +44,19 @@ int main() {
   // Reference cost of one multiply on fixed 8-bit hardware (sub-8-bit data
   // would be zero-padded into 8-bit units on a non-reconfigurable design).
   poke_operands(8);
-  m.mult_rows(RowRef::main(0), RowRef::main(1), 8);
-  const double fj8 =
-      in_fJ(m.last_op().op_energy) / static_cast<double>(m.mult_units_per_row(8));
+  const double fj8 = in_fJ(mult(8, {}).energy) / static_cast<double>(m.mult_units_per_row(8));
 
   const macro::AdaptivePolicy adaptive{true, true};
   TextTable t({"precision", "units/row", "cycles", "adaptive cycles", "energy/op [fJ]",
                "throughput [ops/cycle]", "on fixed 8b HW [fJ/op]", "energy saved"});
   for (const unsigned bits : {2u, 4u, 8u, 16u, 32u}) {
     poke_operands(bits);
-    m.mult_rows(RowRef::main(0), RowRef::main(1), bits);
-    const unsigned dense_cycles = m.last_op().cycles;
+    const macro::ProgramStats dense = mult(bits, {});
+    const std::uint64_t dense_cycles = dense.cycles;
     const double units = static_cast<double>(m.mult_units_per_row(bits));
-    const double fj = in_fJ(m.last_op().op_energy) / units;
+    const double fj = in_fJ(dense.energy) / units;
     const double tput = units / static_cast<double>(dense_cycles);
-    m.mult_rows(RowRef::main(0), RowRef::main(1), bits, adaptive);
-    const unsigned adaptive_cycles = m.last_op().cycles;
+    const std::uint64_t adaptive_cycles = mult(bits, adaptive).cycles;
     const bool sub8 = bits < 8;
     t.add_row({std::to_string(bits) + "b", TextTable::num(units, 0),
                std::to_string(dense_cycles), std::to_string(adaptive_cycles),

@@ -20,6 +20,8 @@
 #include "common/rng.hpp"
 #include "common/table.hpp"
 #include "macro/imc_macro.hpp"
+#include "macro/program.hpp"
+#include "macro/verifier.hpp"
 
 using namespace bpim;
 using array::RowRef;
@@ -57,8 +59,10 @@ double run_prop(WhichOp op, unsigned bits, std::size_t bl_size, std::size_t batc
   macro::MacroConfig cfg;
   cfg.geometry.cols = bl_size;
   macro::ImcMacro m(cfg);
+  macro::MacroController ctl(m);
   Rng rng(202);
   std::uint64_t ops = 0;
+  std::uint64_t cycles = 0;
   for (std::size_t k = 0; k < batches; ++k) {
     BitVector a(bl_size), b(bl_size);
     a.randomize(rng);
@@ -66,22 +70,24 @@ double run_prop(WhichOp op, unsigned bits, std::size_t bl_size, std::size_t batc
     m.poke_row(2 * k, a);
     m.poke_row(2 * k + 1, b);
     const auto ra = RowRef::main(2 * k), rb = RowRef::main(2 * k + 1);
+    macro::Program p;
     switch (op) {
       case WhichOp::Add:
-        m.add_rows(ra, rb, bits);
+        p.add(ra, rb, bits);
         ops += m.words_per_row(bits);
         break;
       case WhichOp::Sub:
-        m.sub_rows(ra, rb, bits);
+        p.sub(ra, rb, bits);
         ops += m.words_per_row(bits);
         break;
       case WhichOp::Mult:
-        m.mult_rows(ra, rb, bits);
+        p.mult(ra, rb, bits);
         ops += m.mult_units_per_row(bits);
         break;
     }
+    cycles += ctl.run(macro::verify(std::move(p), m.config().geometry)).cycles;
   }
-  return static_cast<double>(m.total_cycles()) / static_cast<double>(ops);
+  return static_cast<double>(cycles) / static_cast<double>(ops);
 }
 
 void run_panel(const char* name, WhichOp op, const std::vector<double>& paper_ratios) {

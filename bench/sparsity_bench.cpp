@@ -96,8 +96,9 @@ SweepPoint run_point(unsigned bits, int sparsity_pct, std::size_t ops) {
       }
     }
     std::vector<macro::TraceEntry> dt, at;
-    const macro::ProgramStats ds = dense_ctl.run(prog, &dt);
-    const macro::ProgramStats as = adapt_ctl.run(prog, &at, false, policy);
+    const macro::ProgramStats ds = dense_ctl.run(prog, macro::TraceRecorder{prog.program(), dt});
+    const macro::ProgramStats as =
+        adapt_ctl.run(prog, macro::TraceRecorder{prog.program(), at}, false, policy);
     if (at.back().result != dt.back().result) {
       std::cerr << "FATAL: adaptive result diverged from dense (bits=" << bits
                 << " sparsity=" << sparsity_pct << "%)\n";

@@ -1,13 +1,16 @@
 // Table 2 reproduction: energy per operation for ADD / SUB / MULT at
 // 2/4/8-bit precision, SUB and MULT with and without the BL separator.
 // Energies are measured by running each operation on the functional macro
-// (the ledger charges the calibrated component prices cycle by cycle).
+// as a verified program, priced by its CostModel from the calibrated
+// component prices.
 
 #include <iostream>
 
 #include "common/table.hpp"
 #include "energy/calibration.hpp"
 #include "macro/imc_macro.hpp"
+#include "macro/program.hpp"
+#include "macro/verifier.hpp"
 
 using namespace bpim;
 using array::RowRef;
@@ -19,17 +22,19 @@ double measure_fj(const char* op, unsigned bits, SeparatorMode sep) {
   macro::MacroConfig cfg;
   cfg.separator = sep;
   macro::ImcMacro m(cfg);
+  macro::MacroController ctl(m);
+  const auto energy = [&](const macro::Program& p) {
+    return in_fJ(ctl.run(macro::verify(p, m.config().geometry)).energy);
+  };
   const std::string o(op);
-  if (o == "ADD") {
-    m.add_rows(RowRef::main(0), RowRef::main(1), bits);
-    return in_fJ(m.last_op().op_energy) / static_cast<double>(m.words_per_row(bits));
-  }
-  if (o == "SUB") {
-    m.sub_rows(RowRef::main(0), RowRef::main(1), bits);
-    return in_fJ(m.last_op().op_energy) / static_cast<double>(m.words_per_row(bits));
-  }
-  m.mult_rows(RowRef::main(0), RowRef::main(1), bits);
-  return in_fJ(m.last_op().op_energy) / static_cast<double>(m.mult_units_per_row(bits));
+  if (o == "ADD")
+    return energy(macro::Program().add(RowRef::main(0), RowRef::main(1), bits)) /
+           static_cast<double>(m.words_per_row(bits));
+  if (o == "SUB")
+    return energy(macro::Program().sub(RowRef::main(0), RowRef::main(1), bits)) /
+           static_cast<double>(m.words_per_row(bits));
+  return energy(macro::Program().mult(RowRef::main(0), RowRef::main(1), bits)) /
+         static_cast<double>(m.mult_units_per_row(bits));
 }
 
 }  // namespace

@@ -13,9 +13,9 @@
 // and the dummy segment. When open (separated), accesses restricted to the
 // dummy rows see only the short segment -- the energy and write-back-delay
 // win the paper attributes to the separator. The functional results are
-// identical either way; the state is tracked so the energy ledger and the
-// sequencer can price accesses correctly and so illegal cross-segment
-// accesses while separated are caught.
+// identical either way; the state is tracked so illegal cross-segment
+// accesses while separated are caught (macro::CostModel prices the short
+// segment from the op's rows).
 
 #include <cstddef>
 #include <vector>

@@ -5,9 +5,9 @@
 // point; an operation's energy is the sum of the components it exercises.
 // The same price list is used twice:
 //   * closed forms here (add/sub/mult/...) reproduce Table 2, and
-//   * the macro's Sequencer charges the identical prices cycle by cycle, so
-//     functional-simulation energy and the closed forms agree by
-//     construction (asserted in tests).
+//   * macro::CostModel prices every executed instruction from the identical
+//     per-component prices, so functional-simulation energy and the closed
+//     forms agree by construction (asserted in tests).
 //
 // Voltage scaling is quadratic in VDD (dynamic CV^2); the paper's 0.6 V
 // TOPS/W quotes (ADD 8.09, MULT 0.68) are hit within a few percent.

@@ -6,6 +6,7 @@
 
 #include "common/require.hpp"
 #include "macro/isa.hpp"
+#include "obs/metrics.hpp"
 
 namespace bpim::engine {
 
@@ -38,6 +39,40 @@ std::size_t useful_threads(const EngineConfig& cfg, const macro::ImcMemory& mem)
   std::size_t t = cfg.threads != 0 ? cfg.threads
                                    : std::max<std::size_t>(1, std::thread::hardware_concurrency());
   return std::min(t, mem.macro_count());
+}
+
+obs::Histogram& request_cycles_histogram() {
+  static obs::Histogram& h = obs::MetricsRegistry::global().histogram(
+      "engine.request.cycles", "modeled compute cycles per engine request");
+  return h;
+}
+
+/// The memory-level account of one request's per-macro program stats.
+struct MemoryAccount {
+  std::uint64_t cycles = 0;        ///< lock-step makespan: max over macros
+  std::uint64_t dense_cycles = 0;  ///< the same makespan with the policy's savings added back
+  std::uint64_t instructions = 0;
+  Joule energy{0.0};
+};
+
+/// Merges per-macro stats (indexed by flat macro number). Energy folds bank
+/// by bank, then across banks -- one fixed association, so the doubles are
+/// the same at every thread count.
+MemoryAccount merge(const macro::ImcMemory& mem, std::span<const macro::ProgramStats> per_macro) {
+  MemoryAccount acc;
+  for (const macro::ProgramStats& ps : per_macro) {
+    acc.cycles = std::max(acc.cycles, ps.cycles);
+    acc.dense_cycles = std::max(acc.dense_cycles, ps.cycles + ps.adaptive_cycles_saved);
+    acc.instructions += ps.instructions;
+  }
+  const std::size_t per_bank = mem.config().macros_per_bank;
+  for (std::size_t bk = 0; bk < mem.bank_count(); ++bk) {
+    Joule bank_energy{0.0};
+    for (std::size_t i = 0; i < mem.bank(bk).macro_count(); ++i)
+      bank_energy += per_macro[bk * per_bank + i].energy;
+    acc.energy += bank_energy;
+  }
+  return acc;
 }
 
 }  // namespace
@@ -188,7 +223,6 @@ OpResult ExecutionEngine::run_one(const VecOp& op, OpAccount& acct) {
   if (ea != nullptr && eb != nullptr)
     BPIM_REQUIRE(ea->handle.layers + eb->handle.layers <= row_pair_capacity(),
                  "resident operand pair exceeds memory capacity");
-  mem_.reset_counters();
 
   const std::size_t n = a.size();
   const std::size_t per_op = elements_per_chunk(op);
@@ -250,22 +284,18 @@ OpResult ExecutionEngine::run_one(const VecOp& op, OpAccount& acct) {
   }
 
   // Shard: macro m owns chunks m, m + M, m + 2M, ... -- the same per-macro
-  // chunk sequence as the serial layer walk, so RNG streams and ledgers
-  // advance identically and any thread count gives bit-identical results.
-  // Each worker runs its macro's programs through a MacroController; the
-  // ProgramStats it returns (priced per instruction by macro::CostModel)
-  // are the op's accounting source.
+  // chunk sequence as the serial layer walk, so RNG streams advance
+  // identically and any thread count gives bit-identical results. Each
+  // worker runs its macro's programs through a MacroController: the result
+  // sink reads the products straight out of the macro, and the ProgramStats
+  // (priced per instruction by macro::CostModel) are the op's account.
   const std::span<const std::uint64_t> av = a;
   const std::span<const std::uint64_t> bv = b;
   const macro::AdaptivePolicy pol = adaptive_policy();
-  std::vector<std::uint64_t> cycles_m(macros, 0);
-  std::vector<std::uint64_t> adaptive_m(macros, 0);
-  std::vector<std::uint64_t> insts_m(macros, 0);
-  std::vector<Joule> energy_m(macros, Joule(0.0));
+  std::vector<macro::ProgramStats> ps_m(macros);
   pool_.parallel_for(std::min(chunks, macros), [&](std::size_t m) {
     auto& mac = mem_.macro(m);
     macro::MacroController ctl(mac);
-    std::vector<macro::TraceEntry> trace;
     for (std::size_t c = m; c < chunks; c += macros) {
       const std::size_t row_pair = c / macros;
       const auto [r_a, r_b] = place(row_pair);
@@ -278,51 +308,38 @@ OpResult ExecutionEngine::run_one(const VecOp& op, OpAccount& acct) {
         if (res_a == nullptr) mac.poke_words(r_a, 0, op.bits, av.subspan(pos, len));
         if (!unary && res_b == nullptr) mac.poke_words(r_b, 0, op.bits, bv.subspan(pos, len));
       }
-      trace.clear();
-      const macro::ProgramStats ps = ctl.run(*progs[row_pair], &trace,
-                                             /*fuse_mac_chains=*/false, pol);
-      cycles_m[m] += ps.cycles;
-      adaptive_m[m] += ps.adaptive_cycles_saved;
-      insts_m[m] += ps.instructions;
-      energy_m[m] += ps.energy;
-      const BitVector& result = trace.back().result;
-      if (mult_layout) {
-        for (std::size_t i = 0; i < len; ++i)
-          res.values[pos + i] = mac.peek_mult_product(result, i, op.bits);
-      } else {
-        for (std::size_t i = 0; i < len; ++i)
-          res.values[pos + i] = result.extract_bits(i * op.bits, op.bits);
-      }
+      // One instruction per program: the sink sees its result row once.
+      const auto extract = [&](std::size_t, const BitVector& result,
+                               const macro::InstructionCost&, unsigned) {
+        if (mult_layout) {
+          for (std::size_t i = 0; i < len; ++i)
+            res.values[pos + i] = mac.peek_mult_product(result, i, op.bits);
+        } else {
+          for (std::size_t i = 0; i < len; ++i)
+            res.values[pos + i] = result.extract_bits(i * op.bits, op.bits);
+        }
+      };
+      const macro::ProgramStats ps =
+          ctl.run(*progs[row_pair], extract, /*fuse_mac_chains=*/false, pol);
+      ps_m[m].instructions += ps.instructions;
+      ps_m[m].cycles += ps.cycles;
+      ps_m[m].adaptive_cycles_saved += ps.adaptive_cycles_saved;
+      ps_m[m].energy += ps.energy;
     }
   });
 
   // Deterministic merge of the instruction-stream account: cycles are the
-  // lock-step max across macros, energy the fixed bank-then-macro nested sum
-  // -- the exact association the legacy ledger walk (Bank::total_energy
-  // inside ImcMemory::total_energy) uses, so the doubles are bit-identical
-  // to mem_.total_energy(). Cycle agreement with the ledger is asserted
-  // here; the energy half of the conservation law is asserted in tests.
-  res.stats.elements = n;
-  std::uint64_t dense_elapsed = 0;  // the policy-off makespan of this stream
-  for (std::size_t m = 0; m < macros; ++m) {
-    res.stats.elapsed_cycles = std::max(res.stats.elapsed_cycles, cycles_m[m]);
-    dense_elapsed = std::max(dense_elapsed, cycles_m[m] + adaptive_m[m]);
-    res.stats.instructions += insts_m[m];
-  }
+  // lock-step max across macros, energy the fixed bank-then-macro fold.
   // Adaptive savings at the makespan level: unfused single-op programs have
-  // cycles_m + adaptive_m == static cycles exactly (per-instruction
-  // conservation), so dense_elapsed IS what a policy-off run would take and
-  // the law dense == elapsed + adaptive_cycles_saved holds exactly.
-  res.stats.adaptive_cycles_saved = dense_elapsed - res.stats.elapsed_cycles;
-  const std::size_t per_bank = mem_.config().macros_per_bank;
-  for (std::size_t bk = 0; bk < mem_.bank_count(); ++bk) {
-    Joule bank_energy{0.0};
-    for (std::size_t i = 0; i < mem_.bank(bk).macro_count(); ++i)
-      bank_energy += energy_m[bk * per_bank + i];
-    res.stats.energy += bank_energy;
-  }
-  BPIM_REQUIRE(res.stats.elapsed_cycles == mem_.elapsed_cycles(),
-               "instruction-stream cycles diverge from the memory ledger");
+  // cycles + adaptive == static cycles exactly per macro (per-instruction
+  // conservation), so the dense makespan IS what a policy-off run would
+  // take and dense == elapsed + adaptive_cycles_saved holds exactly.
+  const MemoryAccount total = merge(mem_, ps_m);
+  res.stats.elements = n;
+  res.stats.instructions = total.instructions;
+  res.stats.elapsed_cycles = total.cycles;
+  res.stats.adaptive_cycles_saved = total.dense_cycles - total.cycles;
+  res.stats.energy = total.energy;
   res.stats.elapsed_time =
       Second(static_cast<double>(res.stats.elapsed_cycles) * mem_.macro(0).cycle_time().si());
 
@@ -399,6 +416,7 @@ std::vector<OpResult> ExecutionEngine::run_batch(std::span<const VecOp> ops) {
   batch_.serial_cycles = batch_.load_cycles + batch_.compute_cycles;
   batch_.elapsed_time = Second(static_cast<double>(batch_.pipelined_cycles) *
                                mem_.macro(0).cycle_time().si());
+  request_cycles_histogram().observe(batch_.compute_cycles);
   span.arg("ops", static_cast<double>(batch_.ops));
   span.arg("pipelined_cycles", static_cast<double>(batch_.pipelined_cycles));
   span.arg("load_cycles_saved", static_cast<double>(batch_.load_cycles_saved));
@@ -557,14 +575,19 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   const std::size_t ops = weights.size();
   const std::size_t macros = mem_.macro_count();
   const std::size_t active = std::min(plan.chunks, macros);
-  mem_.reset_counters();
 
   // Stage the shared activation (even row of transient pair l for chunk
   // c = l*M + m) and run each macro's fused program on the chained datapath.
   // Per-macro programs and RNG streams are independent, so the parallel walk
-  // stays bit-identical to a serial one.
+  // stays bit-identical to a serial one. Macro m's instruction k = l*J + j
+  // is layer l of op j, covering the elements of chunk c = l*M + m: the
+  // sink extracts its products, keeps its energy for the per-op fold below
+  // and, on macro 0, adds its cycles to op j.
   const macro::AdaptivePolicy pol = adaptive_policy();
-  std::vector<std::vector<macro::TraceEntry>> traces(macros);
+  std::vector<OpResult> results(ops);
+  for (OpResult& r : results) r.values.assign(plan.elements, 0);
+  const std::size_t stride = ff.programs.front().program().size();  // macro 0 has the most layers
+  std::vector<Joule> energy(active * stride);
   std::vector<macro::ProgramStats> ps_m(macros);
   pool_.parallel_for(active, [&](std::size_t m) {
     auto& mac = mem_.macro(m);
@@ -573,53 +596,43 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
       const std::size_t len = std::min(plan.per_op, plan.elements - pos);
       mac.poke_mult_operands(2 * (c / macros), 0, plan.bits, activation.subspan(pos, len));
     }
-    macro::MacroController ctl(mac);
-    traces[m].reserve(ff.programs[m].program().size());
-    ps_m[m] = ctl.run(ff.programs[m], &traces[m], /*fuse_mac_chains=*/true, pol);
-  });
-
-  // Extraction: macro m's trace entry l*J + j is layer l of op j, covering
-  // elements of chunk c = l*M + m.
-  std::vector<OpResult> results(ops);
-  for (OpResult& r : results) r.values.assign(plan.elements, 0);
-  for (std::size_t m = 0; m < active; ++m) {
-    auto& mac = mem_.macro(m);
-    const std::size_t layers_m = traces[m].size() / ops;
-    for (std::size_t l = 0; l < layers_m; ++l) {
-      const std::size_t pos = (l * macros + m) * plan.per_op;
+    const auto extract = [&](std::size_t k, const BitVector& product,
+                             const macro::InstructionCost& cost, unsigned adaptive) {
+      const std::size_t j = k % ops;
+      const std::size_t pos = ((k / ops) * macros + m) * plan.per_op;
       const std::size_t len = std::min(plan.per_op, plan.elements - pos);
-      for (std::size_t j = 0; j < ops; ++j) {
-        const BitVector& product = traces[m][l * ops + j].result;
-        for (std::size_t i = 0; i < len; ++i)
-          results[j].values[pos + i] = mac.peek_mult_product(product, i, plan.bits);
+      for (std::size_t i = 0; i < len; ++i)
+        results[j].values[pos + i] = mac.peek_mult_product(product, i, plan.bits);
+      energy[m * stride + k] = cost.energy;
+      if (m == 0) {
+        results[j].stats.elapsed_cycles += cost.cycles;
+        results[j].stats.adaptive_cycles_saved += adaptive;
       }
-    }
-  }
+    };
+    macro::MacroController ctl(mac);
+    ps_m[m] = ctl.run(ff.programs[m], extract, /*fuse_mac_chains=*/true, pol);
+  });
 
   // Per-op accounting: cycles from macro 0 (the max-layer macro; instruction
   // costs match across macros, so its walk is the lock-step critical path
-  // and the per-op shares sum to mem_.elapsed_cycles()); energy merged in
-  // fixed macro-then-layer order. Load: the activation (plus any weights
+  // and the per-op shares sum to the makespan); energy folded in fixed
+  // macro-then-layer order. Load: the activation (plus any weights
   // compile_forward staged early) bills to op 0, a weight materialized this
   // call bills to its own op; the baseline is 2 row writes per layer per op.
   const double tick = mem_.macro(0).cycle_time().si();
   const std::uint64_t table_mult = macro::op_cycles(macro::Op::Mult, plan.bits);
   const std::uint64_t pending = pending_load_;
   pending_load_ = 0;
-  const std::size_t layers0 = traces[0].size() / ops;
+  const std::size_t layers0 = stride / ops;
   std::uint64_t saved_total = 0;
   std::uint64_t fused_saved_total = 0;
   for (std::size_t j = 0; j < ops; ++j) {
     RunStats& s = results[j].stats;
     s.elements = plan.elements;
-    for (std::size_t l = 0; l < layers0; ++l) {
-      s.elapsed_cycles += traces[0][l * ops + j].cycles;
-      s.adaptive_cycles_saved += traces[0][l * ops + j].adaptive_cycles_saved;
-    }
     for (std::size_t m = 0; m < active; ++m) {
-      const std::size_t layers_m = traces[m].size() / ops;
+      const std::size_t layers_m = ff.programs[m].program().size() / ops;
       s.instructions += layers_m;  // one MULT per layer per macro
-      for (std::size_t l = 0; l < layers_m; ++l) s.energy += traces[m][l * ops + j].op_energy;
+      for (std::size_t l = 0; l < layers_m; ++l) s.energy += energy[m * stride + l * ops + j];
     }
     s.elapsed_time = Second(static_cast<double>(s.elapsed_cycles) * tick);
     // Per-instruction conservation splits each MULT's Table 1 cost three
@@ -640,21 +653,20 @@ std::vector<OpResult> ExecutionEngine::run_forward(std::span<const ResidentOpera
   for (const OpResult& r : results) batch_.instructions += r.stats.instructions;
   batch_.load_cycles = plan.load_cycles + pending + plan.layers;
   batch_.load_cycles_saved = saved_total;
-  batch_.compute_cycles = mem_.elapsed_cycles();
+  // Makespan-level adaptive account: per-macro cycles + adaptive equals the
+  // same-fusion-pattern policy-off walk, so the max-over-macros difference
+  // is exactly what the policy took off the batch's critical path.
+  const MemoryAccount total = merge(mem_, ps_m);
+  batch_.compute_cycles = total.cycles;
   batch_.serial_cycles = batch_.load_cycles + batch_.compute_cycles;
   // One fused program: there is no op boundary left to ping-pong loads
   // across, and nothing to hide the single activation load behind.
   batch_.pipelined_cycles = batch_.serial_cycles;
   batch_.fused_cycles_saved = fused_saved_total;
-  // Makespan-level adaptive account: per-macro cycles + adaptive equals the
-  // same-fusion-pattern policy-off walk, so the max-over-macros difference
-  // is exactly what the policy took off the batch's critical path.
-  std::uint64_t dense_elapsed = 0;
-  for (std::size_t m = 0; m < active; ++m)
-    dense_elapsed = std::max(dense_elapsed, ps_m[m].cycles + ps_m[m].adaptive_cycles_saved);
-  batch_.adaptive_cycles_saved = dense_elapsed - batch_.compute_cycles;
-  batch_.energy = mem_.total_energy();
+  batch_.adaptive_cycles_saved = total.dense_cycles - total.cycles;
+  batch_.energy = total.energy;
   batch_.elapsed_time = Second(static_cast<double>(batch_.pipelined_cycles) * tick);
+  request_cycles_histogram().observe(batch_.compute_cycles);
   ++fusion_stats_.fused_runs;
   span.arg("ops", static_cast<double>(ops));
   span.arg("pipelined_cycles", static_cast<double>(batch_.pipelined_cycles));
@@ -703,10 +715,13 @@ OpResult ExecutionEngine::run_chain(const ChainRequest& req) {
     }
     programs.push_back(compiler.compile_chain(spec));
   }
-  mem_.reset_counters();
 
+  // The last link of each layer block drives the chain's value out: the
+  // sink reads it straight out of the macro.
   const macro::AdaptivePolicy pol = adaptive_policy();
-  std::vector<std::vector<macro::TraceEntry>> traces(macros);
+  OpResult res;
+  res.values.assign(n, 0);
+  const std::size_t block = 1 + links;
   std::vector<macro::ProgramStats> ps_m(macros);
   pool_.parallel_for(active, [&](std::size_t m) {
     auto& mac = mem_.macro(m);
@@ -721,26 +736,17 @@ OpResult ExecutionEngine::run_chain(const ChainRequest& req) {
       for (std::size_t j = 0; j < links; ++j)
         mac.poke_words(base + 2 + j, 0, 2 * req.bits, req.links[j].values.subspan(pos, len));
     }
-    macro::MacroController ctl(mac);
-    traces[m].reserve(programs[m].program().size());
-    ps_m[m] = ctl.run(programs[m], &traces[m], /*fuse_mac_chains=*/true, pol);
-  });
-
-  // The last link of each layer block drives the chain's value out.
-  OpResult res;
-  res.values.assign(n, 0);
-  const std::size_t block = 1 + links;
-  for (std::size_t m = 0; m < active; ++m) {
-    auto& mac = mem_.macro(m);
-    const std::size_t layers_m = traces[m].size() / block;
-    for (std::size_t l = 0; l < layers_m; ++l) {
-      const std::size_t pos = (l * macros + m) * per_op;
+    const auto extract = [&](std::size_t k, const BitVector& out, const macro::InstructionCost&,
+                             unsigned) {
+      if (k % block != links) return;
+      const std::size_t pos = ((k / block) * macros + m) * per_op;
       const std::size_t len = std::min(per_op, n - pos);
-      const BitVector& out = traces[m][l * block + links].result;
       for (std::size_t i = 0; i < len; ++i)
         res.values[pos + i] = mac.peek_mult_product(out, i, req.bits);
-    }
-  }
+    };
+    macro::MacroController ctl(mac);
+    ps_m[m] = ctl.run(programs[m], extract, /*fuse_mac_chains=*/true, pol);
+  });
 
   // Load account: a, b and each link operand stage once per layer. The
   // op-at-a-time equivalent re-stages the spilled intermediate next to every
@@ -751,17 +757,16 @@ OpResult ExecutionEngine::run_chain(const ChainRequest& req) {
   residency_.note_saved(saved);
 
   const double tick = mem_.macro(0).cycle_time().si();
+  const MemoryAccount total = merge(mem_, ps_m);
   res.stats.elements = n;
-  for (const auto& t : traces) res.stats.instructions += t.size();
-  res.stats.elapsed_cycles = mem_.elapsed_cycles();
-  res.stats.energy = mem_.total_energy();
+  res.stats.instructions = total.instructions;
+  res.stats.elapsed_cycles = total.cycles;
+  res.stats.energy = total.energy;
   res.stats.elapsed_time = Second(static_cast<double>(res.stats.elapsed_cycles) * tick);
   res.stats.load_cycles = load;
   res.stats.load_cycles_saved = saved;
-  std::uint64_t dense_elapsed = 0;  // same-fusion-pattern policy-off makespan
-  for (std::size_t m = 0; m < active; ++m)
-    dense_elapsed = std::max(dense_elapsed, ps_m[m].cycles + ps_m[m].adaptive_cycles_saved);
-  res.stats.adaptive_cycles_saved = dense_elapsed - res.stats.elapsed_cycles;
+  // dense_cycles is the same-fusion-pattern policy-off makespan.
+  res.stats.adaptive_cycles_saved = total.dense_cycles - total.cycles;
 
   batch_ = BatchStats{};
   batch_.ops = 1;
@@ -775,6 +780,7 @@ OpResult ExecutionEngine::run_chain(const ChainRequest& req) {
   batch_.adaptive_cycles_saved = res.stats.adaptive_cycles_saved;
   batch_.energy = res.stats.energy;
   batch_.elapsed_time = Second(static_cast<double>(batch_.pipelined_cycles) * tick);
+  request_cycles_histogram().observe(batch_.compute_cycles);
   ++fusion_stats_.chain_runs;
   return res;
 }

@@ -6,10 +6,10 @@
 // one row pair each; chunk c goes to macro c % M at row pair c / M --
 // exactly the layer-by-layer round-robin the serial VectorEngine used, so
 // every macro sees the same chunk sequence in the same order regardless of
-// thread count. Each macro is an independent object (its own SRAM state,
-// RNG stream and energy ledger), so per-macro execution on a thread pool is
-// bit-identical to the serial walk; RunStats are merged after the join as
-// lock-step max (cycles) and fixed-order sum (energy).
+// thread count. Each macro is an independent object (its own SRAM state
+// and RNG stream), so per-macro execution on a thread pool is bit-identical
+// to the serial walk; RunStats are merged after the join as lock-step max
+// (cycles) and fixed-order sum (energy).
 //
 // Unified execution model: every dispatched op -- run()/run_batch() exactly
 // like the fused paths -- is compiled to a macro::VerifiedProgram
@@ -17,10 +17,12 @@
 // program per (kind, bits, row placement)) and executed through a
 // MacroController, which takes only verified programs and never re-checks
 // them. The engine never calls the macro row-op datapath
-// directly (a CI grep gate enforces this); RunStats are derived from the
-// instruction stream the controller prices through macro::CostModel, and
-// agree with the legacy per-macro ledgers exactly -- cycles are asserted
-// per run, the bitwise energy half lives in the conservation tests.
+// directly (a CI grep gate enforces this). Results and the account come
+// back from the controller directly: a result sink reads each product out
+// of the macro as its instruction executes, and RunStats are merged from
+// the instruction stream the controller prices through macro::CostModel.
+// Every request's compute cycles land in the `engine.request.cycles`
+// histogram, observed once at the merge on the submitting thread.
 //
 // run_batch() executes several independent ops as one batch and models a
 // double-buffered schedule in the cycle model: operands of op k+1 are

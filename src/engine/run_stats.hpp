@@ -3,7 +3,8 @@
 //
 // RunStats describes one vector operation in modelled-silicon terms:
 // elapsed_cycles is the lock-step maximum across macros (all macros of a
-// layer fire together), energy is the sum over every macro's ledger. Both
+// layer fire together), energy is the sum over every macro's instruction
+// stream, each instruction priced by macro::CostModel. Both
 // are merged deterministically after the parallel workers join, so the
 // numbers are bit-identical to a serial execution at any thread count.
 

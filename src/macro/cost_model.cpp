@@ -48,9 +48,9 @@ CostModel::CostModel(const MacroConfig& cfg)
   const energy::EnergyModel energy(cfg.energy_params);
   for (std::size_t c = 0; c < prices_.size(); ++c)
     prices_[c] = energy.price(static_cast<Component>(c), cfg.vdd);
-  // MULT price table: ImcMacro::mult_impl's charge sequence, charge for
-  // charge and in order (the bitwise-energy conservation law), folded once
-  // per precision and staging mode. Entry [depth] is the running fold after
+  // MULT price table: the charge sequence of ImcMacro::mult_impl's
+  // micro-actions, charge for charge and in order, folded once per
+  // precision and staging mode. Entry [depth] is the running fold after
   // `depth` add-shift iterations, so it equals a fold stopped there.
   const double n = static_cast<double>(geom_.cols);
   const RowRef d1 = RowRef::dummy(ImcMacro::kDummyOperand);
@@ -87,12 +87,11 @@ CostModel::CostModel(const MacroConfig& cfg)
 
 InstructionCost CostModel::instruction_cost(const Instruction& inst,
                                             const Instruction* prev) const {
-  // Each arm charges the identical component sequence, in the identical
-  // order, with the identical per-charge bit counts as the matching ImcMacro
-  // entry point -- the left-fold over `e` reproduces the ledger's pending-
-  // energy accumulation bit for bit. Touch that sequence in imc_macro.cpp
-  // and this function must move in lock-step (the conservation tests fail
-  // loudly if they drift).
+  // Each arm folds the component sequence the matching ImcMacro entry point
+  // exercises, in hardware order, with its per-charge bit counts. The
+  // reference ledger in tests/reference_ledger.hpp replays the same
+  // sequence independently; the conservation tests compare the two bit for
+  // bit.
   InstructionCost c;
   Joule e{0.0};
   const auto charge = [&](Component comp, double bits) { e += price(comp) * bits; };

@@ -1,26 +1,23 @@
 #pragma once
 // Instruction-driven cost model: cycles and joules of a macro::Program,
-// priced instruction by instruction from the same timing (timing/freq_model)
-// and energy (energy/EnergyModel) models the macro's execution ledger draws
-// on -- without touching a macro.
+// priced instruction by instruction from the timing (timing/freq_model) and
+// energy (energy/EnergyModel) models -- without touching a macro. It is the
+// macro's only account: ImcMacro computes values and disturb, and
+// MacroController::run prices every instruction it executes here.
 //
 // Each Instruction maps to the exact micro-action sequence the sequencer
-// would issue (dummy-row traffic, per-bit activities and all), in the exact
-// order ImcMacro charges it, so the statically priced totals equal the
-// executed ledger totals *bitwise* -- double accumulation order included.
-// That conservation law (program_cost == ledger) is the contract that lets
-// the instruction stream replace the ledgers as the accounting source of
-// truth; MacroController::run asserts the cycle half on every instruction
-// and the tests in test_macro_accounting/test_macro_energy assert the
-// energy half exactly.
+// issues (dummy-row traffic, per-bit activities and all), folded in
+// hardware order, so a program's statically priced totals equal its
+// executed totals *bitwise* -- double accumulation order included. Tests
+// hold the prices to an independent replay of that sequence
+// (tests/reference_ledger.hpp): integer cycles, bitwise energy.
 //
 // One price table: the per-Component unit prices at the config's supply are
 // computed once, at construction, from EnergyModel::price. Every ImcMacro
-// owns a CostModel built from its config and charges its ledger through
-// price(), so the ledger and the static prices read the very same doubles.
-// MULT, the one op whose charge sequence has a variable length, is also
-// folded once at construction into a table by precision, staging mode and
-// iteration depth, so pricing a MULT is a table read.
+// owns a CostModel built from its config. MULT, the one op whose charge
+// sequence has a variable length, is also folded once at construction into
+// a table by precision, staging mode and iteration depth, so pricing a MULT
+// is a table read.
 //
 // Chained-MAC pricing: pass the predecessor instruction to instruction_cost
 // (or set fuse_mac_chains on program_cost) and back-to-back MULTs at one
@@ -43,7 +40,7 @@ struct Instruction;    // macro/program.hpp
 class Program;         // macro/program.hpp
 struct ProgramStats;   // macro/program.hpp
 
-/// Price of one instruction: what the macro's ledger will record for it.
+/// Price of one instruction: its modeled cycles and energy.
 struct InstructionCost {
   unsigned cycles = 0;
   Joule energy{0.0};
@@ -63,14 +60,14 @@ class CostModel {
   /// Price one instruction under a resolved adaptive MULT plan (the
   /// controller's path when an AdaptivePolicy is active: ImcMacro::plan_mult
   /// resolves the data-dependent depth/skip once, and this overload prices
-  /// exactly the micro-actions mult_rows_planned will charge -- the cost
+  /// exactly the micro-actions mult_rows_planned performs -- the cost
   /// model itself stays data-oblivious). Non-MULT instructions ignore the
   /// plan and price as the static overload does.
   [[nodiscard]] InstructionCost instruction_cost(const Instruction& inst,
                                                  const MultPlan& plan) const;
 
   /// Price a whole program, accumulating in instruction order (the same
-  /// left-fold the execution ledger performs). With `fuse_mac_chains`, MULT
+  /// left-fold MacroController::run performs). With `fuse_mac_chains`, MULT
   /// chains are priced on the chained datapath and the discount lands in
   /// fused_cycles_saved, exactly as MacroController::run books it.
   [[nodiscard]] ProgramStats program_cost(const Program& p, bool fuse_mac_chains = false) const;

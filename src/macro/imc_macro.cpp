@@ -1,5 +1,6 @@
 #include "macro/imc_macro.hpp"
 
+#include <array>
 #include <bit>
 #include <cmath>
 
@@ -8,7 +9,6 @@
 namespace bpim::macro {
 
 using array::RowRef;
-using energy::Component;
 using energy::SeparatorMode;
 using periph::FaLogics;
 using periph::LogicFn;
@@ -56,7 +56,7 @@ std::size_t ImcMacro::mult_units_per_row(unsigned bits) const {
   return cols() / (2 * static_cast<std::size_t>(bits));
 }
 
-// ---- uncharged data access --------------------------------------------------
+// ---- data access outside the instruction stream -----------------------------
 
 void ImcMacro::poke_row(std::size_t r, const BitVector& data) {
   array_.write_row(RowRef::main(r), data);
@@ -109,35 +109,13 @@ std::uint64_t ImcMacro::peek_mult_product(const BitVector& row, std::size_t unit
   return row.extract_bits(unit * 2 * bits, 2 * bits);
 }
 
-// ---- accounting helpers -----------------------------------------------------
-
-void ImcMacro::charge(Component c, double bits) {
-  const Joule e = cost_.price(c) * bits;
-  pending_energy_ += e;
-  component_energy_[static_cast<std::size_t>(c)] += e;
-}
-
-Joule ImcMacro::component_energy(Component c) const {
-  return component_energy_[static_cast<std::size_t>(c)];
-}
-
-void ImcMacro::finish_op(unsigned cycles) {
-  last_ = ExecStats{cycles, pending_energy_};
-  total_cycles_ += cycles;
-  total_energy_ += pending_energy_;
-  pending_energy_ = Joule(0.0);
-}
+// ---- datapath helpers ---------------------------------------------------------
 
 void ImcMacro::store(RowRef dest, const BitVector& data) {
   if (cfg_.separator == SeparatorMode::Enabled && dest.is_dummy())
     array_.set_separated(true);  // adaptive: cut the heavy main-segment BL
   array_.write_row(dest, data);
   array_.set_separated(false);
-}
-
-void ImcMacro::write_back(RowRef dest, const BitVector& data, double charged_bits) {
-  store(dest, data);
-  charge(cost_.wb_price(dest), charged_bits);
 }
 
 void ImcMacro::sense_dual(RowRef a, RowRef b) {
@@ -191,36 +169,11 @@ void ImcMacro::maybe_disturb(RowRef a, RowRef b) {
   }
 }
 
-void ImcMacro::reset_counters() {
-  total_cycles_ = 0;
-  total_energy_ = Joule(0.0);
-  component_energy_.fill(Joule(0.0));
-  disturb_flips_ = 0;
-  last_ = ExecStats{};
-}
-
-const BitVector& ImcMacro::read_row(std::size_t r) {
-  array_.read_single_into(RowRef::main(r), sense_);
-  charge(Component::SingleWlRead, static_cast<double>(cols()));
-  finish_op(1);
-  return sense_.bl_and;
-}
-
-void ImcMacro::write_row(std::size_t r, const BitVector& data) {
-  charge(Component::WriteBackFull, static_cast<double>(cols()));
-  array_.write_row(RowRef::main(r), data);
-  finish_op(1);
-}
-
 // ---- compute operations -----------------------------------------------------
 
 const BitVector& ImcMacro::logic_rows(LogicFn fn, RowRef a, RowRef b) {
   sense_dual(a, b);
   FaLogics::logic_into(sense_, fn, drive_);
-  const double n = static_cast<double>(cols());
-  charge(CostModel::compute_price(a, b), n);
-  charge(Component::FaLogic, n);
-  finish_op(1);
   return drive_;
 }
 
@@ -232,11 +185,7 @@ const BitVector& ImcMacro::unary_row(Op op, RowRef src, RowRef dest, unsigned bi
   // propagation path (<<1 within every precision word).
   drive_ = op == Op::Not ? sense_.bl_nor : sense_.bl_and;
   if (op == Op::Shift) drive_.shl1_in_fields(bits);
-  const double n = static_cast<double>(cols());
-  charge(Component::SingleWlRead, n);
-  charge(Component::Inverter, n);
-  write_back(dest, drive_, n);
-  finish_op(1);
+  store(dest, drive_);
   return drive_;
 }
 
@@ -245,11 +194,7 @@ const BitVector& ImcMacro::add_rows(RowRef a, RowRef b, unsigned bits, std::opti
   BPIM_REQUIRE(is_supported_precision(bits), "unsupported precision");
   sense_dual(a, b);
   FaLogics::add_into(sense_, bits, carry_in, fa_);
-  const double n = static_cast<double>(cols());
-  charge(CostModel::compute_price(a, b), n);
-  charge(Component::FaLogic, n);
-  if (dest) write_back(*dest, fa_.sum, n);
-  finish_op(1);
+  if (dest) store(*dest, fa_.sum);
   return fa_.sum;
 }
 
@@ -258,15 +203,10 @@ const BitVector& ImcMacro::add_shift_rows(RowRef a, RowRef b, unsigned bits, Row
   sense_dual(a, b);
   FaLogics::add_into(sense_, bits, false, fa_);
   // The propagated-sum path writes S[n-1] into column n (MX0 + Y-path FF).
-  const std::size_t words = words_per_row(bits);
+  (void)words_per_row(bits);  // the row must hold whole words at this precision
   drive_ = fa_.sum;
   drive_.shl1_in_fields(bits);
-  const double n = static_cast<double>(cols());
-  charge(CostModel::compute_price(a, b), n);
-  charge(Component::FaLogic, n);
-  charge(Component::FlipFlop, static_cast<double>(words));
-  write_back(dest, drive_, n);
-  finish_op(1);
+  store(dest, drive_);
   return drive_;
 }
 
@@ -275,16 +215,10 @@ const BitVector& ImcMacro::sub_rows(RowRef a, RowRef b, unsigned bits) {
   // Cycle 1: NOT(b) -> dummy operand row.
   const RowRef d1 = RowRef::dummy(kDummyOperand);
   array_.read_single_into(b, sense_);
-  const double n = static_cast<double>(cols());
-  charge(Component::SingleWlRead, n);
-  charge(Component::Inverter, n);
-  write_back(d1, sense_.bl_nor, n);
+  store(d1, sense_.bl_nor);
   // Cycle 2: a + ~b + 1 (two's complement).
   sense_dual(a, d1);
   FaLogics::add_into(sense_, bits, true, fa_);
-  charge(CostModel::compute_price(a, d1), n);
-  charge(Component::FaLogic, n);
-  finish_op(2);
   return fa_.sum;
 }
 
@@ -384,21 +318,17 @@ MultPlan ImcMacro::plan_mult(RowRef a, RowRef b, unsigned bits, const AdaptivePo
 
 const BitVector& ImcMacro::mult_impl(RowRef a, RowRef b, unsigned bits, const MultPlan& plan) {
   BPIM_REQUIRE(is_supported_precision(bits), "unsupported precision");
-  const std::size_t units = mult_units_per_row(bits);
+  (void)mult_units_per_row(bits);  // 2N-bit units must tile the row
   const unsigned unit_bits = 2 * bits;
   const UnitMasks& m = unit_masks(bits);
   const RowRef d1 = RowRef::dummy(kDummyOperand);
   const RowRef d2 = RowRef::dummy(kDummyAccum);
-  const auto& p = cost_.params();
-  const double n_units = static_cast<double>(units);
 
   // Cycle 1: zero-init the accumulator row; load the multiplier FFs
   // (MSB-first release order -- the reversed B[3:0] -> B[0:3] of Fig 5).
   drive_.fill(false);
-  write_back(d2, drive_, static_cast<double>(cols()) * p.zero_init_activity);
+  store(d2, drive_);
   array_.read_single_into(b, sense_);
-  charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
-  charge(Component::FlipFlop, static_cast<double>(bits) * n_units);
   ff_ = sense_.bl_and;
 
   // Cycle 2: copy the multiplicand into the dummy operand row (low halves):
@@ -412,19 +342,10 @@ const BitVector& ImcMacro::mult_impl(RowRef a, RowRef b, unsigned bits, const Mu
     array_.read_single_into(a, sense_);
     for (std::size_t w = 0; w < drive_.word_count(); ++w)
       drive_.set_word(w, sense_.bl_and.word(w) & m.low_halves);
-    charge(Component::SingleWlRead, static_cast<double>(bits) * n_units);
-    write_back(d1, drive_, static_cast<double>(bits) * n_units);
+    store(d1, drive_);
   }
 
-  // Cycles 3..N+2: (N-1) add-and-shift iterations plus the final ADD, one
-  // ledger charge set per iteration (the order CostModel folds them in).
-  const double n = static_cast<double>(cols());
-  const auto charge_iteration = [&] {
-    charge(CostModel::compute_price(d1, d2), n);
-    charge(Component::FaLogic, n);
-    charge(Component::FlipFlop, n_units);
-    charge(cost_.wb_price(d2), n * p.mult_wb_activity);
-  };
+  // Cycles 3..N+2: (N-1) add-and-shift iterations plus the final ADD.
   if (!draws_disturb()) {
     // Closed form: with no disturb to draw, nothing observes the partial
     // products, and D1 stays as it stands through every iteration. Unit u
@@ -445,7 +366,6 @@ const BitVector& ImcMacro::mult_impl(RowRef a, RowRef b, unsigned bits, const Mu
         drive_.set_word(w, prod);
       }
       store(d2, drive_);
-      for (unsigned k = 0; k < plan.depth; ++k) charge_iteration();
     }
   } else {
     // Iterated: each iteration's dual-WL access draws disturb against
@@ -472,14 +392,8 @@ const BitVector& ImcMacro::mult_impl(RowRef a, RowRef b, unsigned bits, const Mu
       }
       if (!last) drive_.shl1_in_fields(unit_bits);  // <<1 via the propagation path
       store(d2, drive_);
-      charge_iteration();
     }
   }
-
-  // The plan owns the cycle split; op_cycles(MULT, bits) == plan.cycles()
-  // + plan.fused_cycles_saved() + plan.adaptive_cycles_saved(bits) exactly
-  // (the controller asserts it per instruction).
-  finish_op(plan.cycles());
   return array_.row(d2);
 }
 

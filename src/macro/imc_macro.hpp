@@ -1,6 +1,6 @@
 #pragma once
 // The bit-parallel in-memory-computing macro: the paper's primary
-// contribution, as a cycle-accurate, energy-accounted functional model.
+// contribution, as a cycle-accurate functional model.
 //
 // One macro = one SRAM array (default 128x128) + 3 dummy rows behind the BL
 // separator + a row of column peripheral units (SAs, FA-Logics, MX0..MX3,
@@ -14,9 +14,10 @@
 // the unit.
 //
 // Every compute entry point mutates state exactly as the hardware sequence
-// would (dummy-row traffic included), charges the energy ledger with the
-// same component prices the closed-form EnergyModel uses, and advances the
-// cycle counter per Table 1.
+// would (dummy-row traffic included) and computes values and read disturb
+// only. The macro keeps no cycle or energy account: each instruction's
+// cycles and joules come from the macro's CostModel, which
+// MacroController::run prices every executed instruction through.
 //
 // Latches: like the hardware, the macro computes through fixed per-macro
 // storage -- the SA readout, the FA outputs, the multiplier FF row and the
@@ -32,7 +33,6 @@
 // benches may still call them directly as the differential oracle against
 // the program path (alongside baseline/naive_datapath).
 
-#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -42,7 +42,6 @@
 #include "common/bitvec.hpp"
 #include "common/rng.hpp"
 #include "common/units.hpp"
-#include "energy/energy_model.hpp"
 #include "macro/config.hpp"
 #include "macro/cost_model.hpp"
 #include "macro/isa.hpp"
@@ -58,12 +57,6 @@ struct DisturbModel {
   [[nodiscard]] static DisturbModel for_scheme(WlScheme scheme);
 };
 
-/// Result of one macro-level operation.
-struct ExecStats {
-  unsigned cycles = 0;
-  Joule op_energy{0.0};
-};
-
 class ImcMacro {
  public:
   explicit ImcMacro(const MacroConfig& cfg);
@@ -76,7 +69,7 @@ class ImcMacro {
   /// MULT units per row at a given precision (each 2*bits wide).
   [[nodiscard]] std::size_t mult_units_per_row(unsigned bits) const;
 
-  // ---- uncharged data access (test/benchmark setup) ----------------------
+  // ---- data access outside the instruction stream (setup and readout) -----
   void poke_row(std::size_t r, const BitVector& data);
   [[nodiscard]] const BitVector& peek_row(std::size_t r) const;
   void poke_word(std::size_t r, std::size_t word, unsigned bits, std::uint64_t value);
@@ -94,13 +87,7 @@ class ImcMacro {
                                                 unsigned bits) const;
   [[nodiscard]] const array::SramArray& sram() const { return array_; }
 
-  // ---- standard SRAM access (charged; the macro is still a memory) --------
-  /// Normal read of a full row (single-WL, 1 cycle).
-  const BitVector& read_row(std::size_t r);
-  /// Normal write of a full row (1 cycle, drives the full-height BLs).
-  void write_row(std::size_t r, const BitVector& data);
-
-  // ---- compute operations (charged) ---------------------------------------
+  // ---- compute operations -------------------------------------------------
   // Each returns the row its result was driven into (see "Latches" above).
   /// Dual-WL logic op across all columns (1 cycle).
   const BitVector& logic_rows(periph::LogicFn fn, array::RowRef a, array::RowRef b);
@@ -130,10 +117,8 @@ class ImcMacro {
   ///  * closed form, otherwise: unit u of D2 becomes
   ///    D1_u * (FF_u mod 2^depth) mod 2^2N in one host multiply per unit
   ///    and one D2 write (none when depth is 0).
-  /// Both leave D1, D2, the FF row, cycles and ledger energy bit-identical
-  /// (the ledger takes the same four charges per iteration either way). The
-  /// SA, FA and driver latches are scratch: their contents after a MULT are
-  /// unspecified.
+  /// Both leave D1, D2 and the FF row bit-identical. The SA, FA and driver
+  /// latches are scratch: their contents after a MULT are unspecified.
   const BitVector& mult_rows(array::RowRef a, array::RowRef b, unsigned bits,
                              const AdaptivePolicy& policy = {});
   /// MULT as the non-head link of a fused MAC chain. `pipelined` overlaps
@@ -151,7 +136,7 @@ class ImcMacro {
   /// multiplier bits; the rest are OR-folded) for the max effectual depth
   /// E, then narrow the iteration count to E (narrow_precision) and/or skip
   /// the op body when E == 0 (skip_zero).
-  /// The scan itself is uncharged: it models the peripheral's zero/msb
+  /// The scan itself costs nothing: it models the peripheral's zero/msb
   /// detectors reading the operands as they stream through the FF load and
   /// staging cycles the op performs anyway.
   [[nodiscard]] MultPlan plan_mult(array::RowRef a, array::RowRef b, unsigned bits,
@@ -164,23 +149,16 @@ class ImcMacro {
   const BitVector& mult_rows_planned(array::RowRef a, array::RowRef b, unsigned bits,
                                      const MultPlan& plan);
 
-  // ---- accounting ---------------------------------------------------------
-  [[nodiscard]] ExecStats last_op() const { return last_; }
-  [[nodiscard]] std::uint64_t total_cycles() const { return total_cycles_; }
-  [[nodiscard]] Joule total_energy() const { return total_energy_; }
-  /// Cumulative energy charged to one micro-action class (sums to
-  /// total_energy() across all components).
-  [[nodiscard]] Joule component_energy(energy::Component c) const;
-  void reset_counters();
-
+  // ---- cost and disturb -----------------------------------------------------
   /// Cycle time / fmax for this macro's scheme and separator mode.
   [[nodiscard]] Second cycle_time() const { return cost_.cycle_time(); }
   [[nodiscard]] Hertz fmax() const { return frequency_of(cycle_time()); }
-  /// The instruction-driven cost model of this macro's config, built once;
-  /// its price table is the one this macro's ledger charges from.
+  /// The instruction-driven cost model of this macro's config, built once:
+  /// the one account of what each instruction on this macro costs.
   [[nodiscard]] const CostModel& cost_model() const { return cost_; }
 
-  /// Count of cells corrupted by injected read disturb so far.
+  /// Cells corrupted by injected read disturb over the macro's lifetime
+  /// (nothing resets it; take a difference to count one run's flips).
   [[nodiscard]] std::uint64_t disturb_flips() const { return disturb_flips_; }
 
   /// Dummy-row roles used by the sequencer.
@@ -191,12 +169,8 @@ class ImcMacro {
  private:
   const BitVector& mult_impl(array::RowRef a, array::RowRef b, unsigned bits,
                              const MultPlan& plan);
-  void charge(energy::Component c, double bits);
-  void finish_op(unsigned cycles);
-  /// Write with separator management (uncharged).
+  /// Write with separator management.
   void store(array::RowRef dest, const BitVector& data);
-  /// store() + write-back energy for `charged_bits` bits.
-  void write_back(array::RowRef dest, const BitVector& data, double charged_bits);
   /// Dual-WL compute of rows a and b into the SA latch (plus disturb).
   void sense_dual(array::RowRef a, array::RowRef b);
   /// True when a dual-WL access can flip cells: injection on at a nonzero
@@ -219,11 +193,6 @@ class ImcMacro {
   BitVector drive_;         ///< Y-path / write-back driver row
   std::vector<std::size_t> disturb_cols_;  ///< vulnerable columns of a flipping access
 
-  ExecStats last_{};
-  Joule pending_energy_{0.0};
-  std::uint64_t total_cycles_ = 0;
-  Joule total_energy_{0.0};
-  std::array<Joule, energy::kComponentCount> component_energy_{};  // indexed by Component
   std::uint64_t disturb_flips_ = 0;
 };
 

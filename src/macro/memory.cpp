@@ -1,7 +1,5 @@
 #include "macro/memory.hpp"
 
-#include <algorithm>
-
 #include "common/require.hpp"
 
 namespace bpim::macro {
@@ -24,22 +22,6 @@ ImcMacro& Bank::macro(std::size_t i) {
 const ImcMacro& Bank::macro(std::size_t i) const {
   BPIM_REQUIRE(i < macros_.size(), "macro index out of range");
   return *macros_[i];
-}
-
-Joule Bank::total_energy() const {
-  Joule e;
-  for (const auto& m : macros_) e += m->total_energy();
-  return e;
-}
-
-std::uint64_t Bank::elapsed_cycles() const {
-  std::uint64_t c = 0;
-  for (const auto& m : macros_) c = std::max(c, m->total_cycles());
-  return c;
-}
-
-void Bank::reset_counters() {
-  for (auto& m : macros_) m->reset_counters();
 }
 
 ImcMemory::ImcMemory(const MemoryConfig& cfg) : cfg_(cfg) {
@@ -69,22 +51,6 @@ std::size_t ImcMemory::macro_count() const { return cfg_.banks * cfg_.macros_per
 std::size_t ImcMemory::capacity_bytes() const {
   const auto& g = cfg_.macro.geometry;
   return macro_count() * g.rows * g.cols / 8;
-}
-
-Joule ImcMemory::total_energy() const {
-  Joule e;
-  for (const auto& b : banks_) e += b->total_energy();
-  return e;
-}
-
-std::uint64_t ImcMemory::elapsed_cycles() const {
-  std::uint64_t c = 0;
-  for (const auto& b : banks_) c = std::max(c, b->elapsed_cycles());
-  return c;
-}
-
-void ImcMemory::reset_counters() {
-  for (auto& b : banks_) b->reset_counters();
 }
 
 }  // namespace bpim::macro

@@ -33,11 +33,6 @@ class Bank {
   [[nodiscard]] ImcMacro& macro(std::size_t i);
   [[nodiscard]] const ImcMacro& macro(std::size_t i) const;
 
-  /// Energy summed over macros; elapsed cycles = max (lock-step execution).
-  [[nodiscard]] Joule total_energy() const;
-  [[nodiscard]] std::uint64_t elapsed_cycles() const;
-  void reset_counters();
-
  private:
   std::vector<std::unique_ptr<ImcMacro>> macros_;
 };
@@ -56,11 +51,6 @@ class ImcMemory {
 
   /// Storage capacity in bytes (main arrays only, dummy rows excluded).
   [[nodiscard]] std::size_t capacity_bytes() const;
-
-  [[nodiscard]] Joule total_energy() const;
-  /// Elapsed cycles assuming banks run fully in parallel.
-  [[nodiscard]] std::uint64_t elapsed_cycles() const;
-  void reset_counters();
 
  private:
   MemoryConfig cfg_;

@@ -12,17 +12,9 @@ namespace bpim::macro {
 
 namespace {
 
-// Program-path instruments, resolved once (stable addresses, lock-free
-// updates thereafter). Per-program cycles are the adoption signal of the
-// unified execution model.
-obs::Histogram& program_cycles_histogram() {
-  static obs::Histogram& h = obs::MetricsRegistry::global().histogram(
-      "macro.program.cycles", "modeled cycles per executed macro program");
-  return h;
-}
-
-// Adaptive-execution instruments: how often the policy fires, what it saves,
-// and the narrowed-depth distribution (full-depth MULTs observe bits).
+// Adaptive-execution instruments, resolved once (stable addresses, lock-free
+// updates thereafter): how often the policy fires, what it saves, and the
+// narrowed-depth distribution (full-depth MULTs observe bits).
 obs::Counter& adaptive_mults_counter() {
   static obs::Counter& c = obs::MetricsRegistry::global().counter(
       "engine.adaptive.mults", "MULTs executed under an enabled adaptive policy");
@@ -168,7 +160,7 @@ std::string Program::dump() const {
   return os.str();
 }
 
-ProgramStats MacroController::run(const VerifiedProgram& vp, std::vector<TraceEntry>* trace,
+ProgramStats MacroController::run(const VerifiedProgram& vp, ResultSink sink,
                                   bool fuse_mac_chains, const AdaptivePolicy& policy) {
   // The verifier checked every row, role and precision against the
   // program's geometry; the only thing left to check is that this macro has
@@ -176,12 +168,10 @@ ProgramStats MacroController::run(const VerifiedProgram& vp, std::vector<TraceEn
   BPIM_REQUIRE(vp.geometry() == macro_.config().geometry,
                "program was verified against a different array geometry");
   const Program& p = vp.program();
-  // The instruction stream is the accounting source: every instruction is
-  // priced by the cost model (cycles from timing/, joules from energy/) and
-  // cross-checked against the executing datapath's ledger. Cycles are
-  // asserted here on every instruction; the energy half of the conservation
-  // law (bitwise ledger equality) is asserted in test_macro_accounting /
-  // test_macro_energy. The macro owns its cost model, built once.
+  // The instruction stream is the one account: every instruction is priced
+  // by the macro's cost model (cycles from timing/, joules from energy/),
+  // built once with the macro. The datapath computes values and disturb
+  // only; tests replay its charge sequence against these prices.
   const CostModel& cost = macro_.cost_model();
   ProgramStats stats;
   const Instruction* prev = nullptr;
@@ -198,7 +188,8 @@ ProgramStats MacroController::run(const VerifiedProgram& vp, std::vector<TraceEn
     bool valid = false;
   } staged;
   const array::RowRef d1_row = array::RowRef::dummy(ImcMacro::kDummyOperand);
-  for (const Instruction& i : p.instructions()) {
+  for (std::size_t k = 0; k < p.size(); ++k) {
+    const Instruction& i = p.instructions()[k];
     const BitVector* result = nullptr;  // the macro's latch; valid until its next op
     InstructionCost priced;
     MultPlan plan;
@@ -249,9 +240,6 @@ ProgramStats MacroController::run(const VerifiedProgram& vp, std::vector<TraceEn
         break;
       }
     }
-    const ExecStats es = macro_.last_op();
-    BPIM_REQUIRE(priced.cycles == es.cycles,
-                 "cost model cycles diverge from the executed datapath");
     ++stats.instructions;
     stats.cycles += priced.cycles;
     const unsigned table_cycles = op_cycles(i.op, i.bits);
@@ -279,11 +267,10 @@ ProgramStats MacroController::run(const VerifiedProgram& vp, std::vector<TraceEn
       if (table_cycles > priced.cycles) stats.fused_cycles_saved += table_cycles - priced.cycles;
     }
     stats.energy += priced.energy;
-    if (trace) trace->push_back(TraceEntry{i, es.cycles, es.op_energy, *result, adaptive});
+    if (sink) sink(k, *result, priced, adaptive);
     prev = &i;
   }
   stats.elapsed = cost.cycle_time() * static_cast<double>(stats.cycles);
-  program_cycles_histogram().observe(stats.cycles);
 #if BPIM_OBS_ENABLED
   // Per-program events are high volume (one per macro per batch step), so
   // they stay behind the extra macro-events gate; a bench opts in when it

@@ -5,14 +5,18 @@
 // A Program is a list of instructions (op, operand rows, precision,
 // destination). The verifier (macro/verifier.hpp) checks it once against an
 // array geometry and seals it as a VerifiedProgram; the MacroController
-// executes only sealed programs on an ImcMacro, accumulating per-program
-// cycle/energy statistics and recording an optional trace. This is how a
-// host integrates the macro: build row-level programs, verify them, run
-// them, read results -- without touching the per-op C++ API directly.
+// executes only sealed programs on an ImcMacro, pricing every instruction
+// through the macro's CostModel and handing each result to an optional
+// sink. This is how a host integrates the macro: build row-level programs,
+// verify them, run them, read results -- without touching the per-op C++
+// API directly.
 
+#include <concepts>
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "macro/imc_macro.hpp"
@@ -76,21 +80,61 @@ class Program {
   std::vector<Instruction> instructions_;
 };
 
-/// Per-instruction execution record.
+/// Non-owning callable that MacroController::run hands every executed
+/// instruction to: its index in the program, the row its result was driven
+/// into (the macro's latch or dummy row: valid only during the call), its
+/// price, and the cycles the adaptive policy saved on it. The callable must
+/// outlive the run() call; an empty sink is skipped. Nothing allocates.
+class ResultSink {
+ public:
+  ResultSink() = default;
+  template <class F>
+    requires(!std::same_as<std::remove_cvref_t<F>, ResultSink> &&
+             std::invocable<F&, std::size_t, const BitVector&, const InstructionCost&, unsigned>)
+  ResultSink(F&& f)  // NOLINT(bugprone-forwarding-reference-overload): constrained above
+      : obj_(const_cast<void*>(static_cast<const void*>(std::addressof(f)))),
+        call_([](void* obj, std::size_t index, const BitVector& result,
+                 const InstructionCost& cost, unsigned adaptive) {
+          (*static_cast<std::remove_reference_t<F>*>(obj))(index, result, cost, adaptive);
+        }) {}
+
+  explicit operator bool() const { return call_ != nullptr; }
+  void operator()(std::size_t index, const BitVector& result, const InstructionCost& cost,
+                  unsigned adaptive_cycles_saved) const {
+    call_(obj_, index, result, cost, adaptive_cycles_saved);
+  }
+
+ private:
+  void* obj_ = nullptr;
+  void (*call_)(void*, std::size_t, const BitVector&, const InstructionCost&, unsigned) = nullptr;
+};
+
+/// Per-instruction execution record, for callers that want a whole trace.
 struct TraceEntry {
   Instruction inst;
   unsigned cycles = 0;
   Joule op_energy{0.0};
-  BitVector result;  ///< row-wide result driven out (empty for pure WB ops)
+  BitVector result;  ///< copy of the row-wide result driven out
   /// Cycles the adaptive policy saved on this instruction (MULT narrowing/
   /// skipping; 0 for other ops or when the policy is off).
   unsigned adaptive_cycles_saved = 0;
 };
 
+/// Sink that appends one TraceEntry per instruction of `program` to `out`
+/// (copying every result row): `ctl.run(vp, TraceRecorder{vp.program(), trace})`.
+struct TraceRecorder {
+  const Program& program;
+  std::vector<TraceEntry>& out;
+  void operator()(std::size_t index, const BitVector& result, const InstructionCost& cost,
+                  unsigned adaptive_cycles_saved) const {
+    out.push_back(TraceEntry{program.instructions()[index], cost.cycles, cost.energy, result,
+                             adaptive_cycles_saved});
+  }
+};
+
 /// Per-program account, derived from the instruction stream: run() prices
-/// every instruction through macro::CostModel (cycles from timing/, joules
-/// from energy/) and cross-checks the executing macro's ledger -- the two
-/// agree exactly (cycles asserted per instruction, energy bitwise in tests).
+/// every instruction through the macro's CostModel (cycles from timing/,
+/// joules from energy/), the one account of what the macro did.
 struct ProgramStats {
   std::uint64_t instructions = 0;
   std::uint64_t cycles = 0;
@@ -115,9 +159,10 @@ class MacroController {
  public:
   explicit MacroController(ImcMacro& m) : macro_(m) {}
 
-  /// Runs `vp`; returns stats. If `trace` is non-null, appends one entry per
-  /// instruction. Throws std::invalid_argument, with the macro untouched,
-  /// when `vp` was verified against a different array geometry.
+  /// Runs `vp`; returns stats. A non-empty `sink` receives every
+  /// instruction's result row and price as it executes. Throws
+  /// std::invalid_argument, with the macro untouched, when `vp` was verified
+  /// against a different array geometry.
   ///
   /// With `fuse_mac_chains` set, back-to-back MULTs at one precision run on
   /// the chained datapath: the FF load of cycle 1 overlaps the predecessor's
@@ -132,8 +177,8 @@ class MacroController {
   /// skip staging and iterations outright (skip_zero). Outputs stay
   /// bit-identical; the saved cycles land in adaptive_cycles_saved with
   /// static == cycles + fused + adaptive asserted per instruction.
-  ProgramStats run(const VerifiedProgram& vp, std::vector<TraceEntry>* trace = nullptr,
-                   bool fuse_mac_chains = false, const AdaptivePolicy& policy = {});
+  ProgramStats run(const VerifiedProgram& vp, ResultSink sink = {}, bool fuse_mac_chains = false,
+                   const AdaptivePolicy& policy = {});
 
  private:
   ImcMacro& macro_;

@@ -2,8 +2,8 @@
 // Multi-memory scale-out: N independent ImcMemory + ExecutionEngine pairs
 // behind one placement policy -- the NUMA-style tier the ROADMAP called for.
 //
-// Each memory models one NUMA node: its own SRAM arrays, RNG streams,
-// energy ledgers, and engine thread pool. Nodes never share mutable state,
+// Each memory models one NUMA node: its own SRAM arrays, RNG streams and
+// engine thread pool. Nodes never share mutable state,
 // so sub-batches dispatched to distinct memories may execute concurrently
 // on the host, and in the cycle model the memories always run in parallel
 // (the serving makespan is the busiest memory's cycle total).

@@ -210,7 +210,8 @@ TEST(FusionCompiler, FuzzedForwardExecutesBitIdenticalToReference) {
     const VerifiedProgram vp = fc.compile_mac_forward(spec);
     MacroController ctl(m);
     std::vector<TraceEntry> trace;
-    const ProgramStats stats = ctl.run(vp, &trace, /*fuse_mac_chains=*/true);
+    const ProgramStats stats =
+        ctl.run(vp, TraceRecorder{vp.program(), trace}, /*fuse_mac_chains=*/true);
     EXPECT_EQ(stats.cycles + stats.fused_cycles_saved, vp.program().static_cycles());
     ASSERT_EQ(trace.size(), ops);
     for (std::size_t j = 0; j < ops; ++j)

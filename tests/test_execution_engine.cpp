@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <functional>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -11,7 +15,9 @@
 #include "common/rng.hpp"
 #include "engine/execution_engine.hpp"
 #include "macro/cost_model.hpp"
+#include "macro/compiler.hpp"
 #include "macro/program.hpp"
+#include "reference_ledger.hpp"
 
 namespace bpim::engine {
 namespace {
@@ -193,8 +199,8 @@ TEST(ExecutionEngine, EmptyBatchIsANoOp) {
   EXPECT_EQ(bs.pipelined_cycles, 0u);
   EXPECT_EQ(bs.energy.si(), 0.0);
   EXPECT_EQ(bs.elapsed_time.si(), 0.0);
-  // The pool and the memory's counters were never touched.
-  EXPECT_EQ(mem.elapsed_cycles(), 0u);
+  // Nothing was compiled, let alone dispatched.
+  EXPECT_EQ(eng.op_program_cache_stats().compiled, 0u);
 }
 
 TEST(ExecutionEngine, LayersForAndCapacityHooks) {
@@ -266,20 +272,111 @@ TEST(ExecutionEngine, VectorEngineBatchAggregatesLastRun) {
   EXPECT_EQ(ve.last_run().energy.si(), energy.si());
 }
 
+/// The controller's MULT plan resolved on the host from the unit values of
+/// the multiplicand (a) and multiplier (b) rows: a zero multiplicand unit
+/// drops its multiplier bits, and the widest remaining multiplier is the
+/// effectual depth. Units past the spans are zero (fresh rows).
+macro::MultPlan host_plan(std::span<const std::uint64_t> a, std::span<const std::uint64_t> b,
+                          unsigned bits, const macro::AdaptivePolicy& policy, bool d1_staged,
+                          bool pipelined) {
+  macro::MultPlan plan = macro::MultPlan::full(bits, d1_staged, pipelined);
+  if (!policy.enabled()) return plan;
+  unsigned eff = 0;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (a[i] != 0) eff = std::max(eff, static_cast<unsigned>(std::bit_width(b[i])));
+  if (policy.narrow_precision) plan.depth = eff;
+  if (policy.skip_zero && eff == 0) {
+    plan.skip = true;
+    plan.depth = 0;
+  }
+  return plan;
+}
+
+/// Operand units of instruction k of a program (its MULTs only).
+using OperandsOf = std::function<std::pair<std::span<const std::uint64_t>,
+                                           std::span<const std::uint64_t>>(std::size_t k)>;
+
+/// One macro's program replayed through the reference ledger, each MULT
+/// resolved as MacroController::run resolves it: chain discounts from the
+/// staged-D1 tracking, the adaptive plan from the operand units.
+struct Replay {
+  macro::ReferenceLedger ledger;
+  std::vector<macro::InstructionCost> costs;
+  std::vector<unsigned> adaptive;  ///< per instruction
+  std::uint64_t adaptive_total = 0;
+};
+
+Replay replay(const macro::MacroConfig& cfg, const macro::Program& p, bool fuse,
+              const macro::AdaptivePolicy& policy, const OperandsOf& operands) {
+  Replay r{macro::ReferenceLedger{cfg}, {}, {}, 0};
+  const array::RowRef d1 = array::RowRef::dummy(macro::ImcMacro::kDummyOperand);
+  const macro::Instruction* prev = nullptr;
+  std::optional<std::pair<array::RowRef, unsigned>> staged;  // what D1 holds
+  for (std::size_t k = 0; k < p.size(); ++k) {
+    const macro::Instruction& i = p.instructions()[k];
+    unsigned adaptive = 0;
+    if (i.op == macro::Op::Mult) {
+      const bool pipelined =
+          fuse && prev != nullptr && prev->op == macro::Op::Mult && prev->bits == i.bits;
+      const bool d1_staged = pipelined && staged == std::make_pair(i.a, i.bits);
+      const auto [a, b] = operands(k);
+      const macro::MultPlan plan = host_plan(a, b, i.bits, policy, d1_staged, pipelined);
+      r.costs.push_back(r.ledger.charge(i, plan));
+      adaptive = plan.adaptive_cycles_saved(i.bits);
+      if (plan.staging_cycles() > 0) staged = std::make_pair(i.a, i.bits);
+    } else {
+      r.costs.push_back(r.ledger.charge(i));
+      if (i.op == macro::Op::Sub || i.dest == d1) staged.reset();
+    }
+    r.adaptive.push_back(adaptive);
+    r.adaptive_total += adaptive;
+    prev = &i;
+  }
+  return r;
+}
+
+/// The memory's energy from per-macro totals: bank by bank, then across.
+Joule bank_fold(const macro::ImcMemory& mem, const std::vector<Joule>& per_macro) {
+  Joule total{0.0};
+  const std::size_t per_bank = mem.config().macros_per_bank;
+  for (std::size_t bk = 0; bk < mem.bank_count(); ++bk) {
+    Joule bank{0.0};
+    for (std::size_t i = 0; i < mem.bank(bk).macro_count(); ++i) bank += per_macro[bk * per_bank + i];
+    total += bank;
+  }
+  return total;
+}
+
+/// Lock-step makespan and its policy-off twin over per-macro replays.
+std::pair<std::uint64_t, std::uint64_t> makespans(const std::vector<Replay>& per_macro) {
+  std::uint64_t cycles = 0, dense = 0;
+  for (const Replay& r : per_macro) {
+    cycles = std::max(cycles, r.ledger.total_cycles());
+    dense = std::max(dense, r.ledger.total_cycles() + r.adaptive_total);
+  }
+  return {cycles, dense};
+}
+
+std::span<const std::uint64_t> chunk_of(const std::vector<std::uint64_t>& v, std::size_t c,
+                                        std::size_t per_op) {
+  const std::size_t pos = c * per_op;
+  return std::span<const std::uint64_t>(v).subspan(pos, std::min(per_op, v.size() - pos));
+}
+
+const macro::AdaptivePolicy kPolicies[] = {{}, {true, true}};
+
 TEST(ExecutionEngine, InstructionStreamConservesLedger) {
   // The unified execution model's conservation law at the engine level: the
   // instruction-stream account in RunStats (one single-op program per chunk)
-  // must reproduce what the macro ledgers charged -- chunk count as the
-  // instruction count, CostModel pricing for cycles, and the exact nested
-  // per-bank energy fold, bitwise.
-  macro::ImcMemory mem(tiny_memory());
-  ExecutionEngine eng(mem, EngineConfig{4});
+  // must reproduce the reference ledger's replay of the same programs --
+  // chunk count as the instruction count, the lock-step makespan as cycles,
+  // and the exact nested per-bank energy fold, bitwise -- with the adaptive
+  // policy off and on.
   const unsigned bits = 8;
   const std::size_t n = 300;
-  const auto a = random_vec(n, bits, 21);
+  auto a = random_vec(n, bits, 21);
   const auto b = random_vec(n, bits, 22);
-  const macro::CostModel cost(mem.macro(0).config());
-  const std::size_t macros = mem.macro_count();
+  for (std::size_t i = 0; i < n; i += 3) a[i] = 0;  // zero multiplicands for the policy
   const auto d1 = array::RowRef::dummy(macro::ImcMacro::kDummyOperand);
   const auto d2 = array::RowRef::dummy(macro::ImcMacro::kDummyAccum);
 
@@ -309,29 +406,183 @@ TEST(ExecutionEngine, InstructionStreamConservesLedger) {
   make(OpKind::Not, macro::Op::Not, periph::LogicFn::And, d1);
   make(OpKind::Logic, macro::Op::And, periph::LogicFn::Xor, std::nullopt);
 
-  for (const Case& c : cases) {
-    const OpResult res = eng.run(c.op);
-    const std::size_t per_chunk =
-        c.op.kind == OpKind::Mult ? eng.mult_units_per_row(bits) : eng.words_per_row(bits);
-    const std::uint64_t chunks = (n + per_chunk - 1) / per_chunk;
-    EXPECT_EQ(res.stats.instructions, chunks) << to_string(c.op.kind);
+  for (const macro::AdaptivePolicy& policy : kPolicies) {
+    for (const Case& c : cases) {
+      macro::ImcMemory mem(tiny_memory());
+      ExecutionEngine eng(mem, EngineConfig{4});
+      eng.set_adaptive_policy(policy);
+      const std::size_t macros = mem.macro_count();
+      const OpResult res = eng.run(c.op);
+      const std::size_t per_chunk = eng.elements_per_chunk(c.op);
+      const std::uint64_t chunks = (n + per_chunk - 1) / per_chunk;
+      const std::string what =
+          std::string(to_string(c.op.kind)) + " policy=" + std::to_string(policy.enabled());
+      EXPECT_EQ(res.stats.instructions, chunks) << what;
 
-    const macro::InstructionCost ic = cost.instruction_cost(c.inst);
-    const std::uint64_t layers = (chunks + macros - 1) / macros;
-    EXPECT_EQ(res.stats.elapsed_cycles, ic.cycles * layers) << to_string(c.op.kind);
-
-    // Replay the engine's merge: per-macro fold in chunk order, then banks.
-    std::vector<Joule> em(macros, Joule{0.0});
-    for (std::uint64_t ch = 0; ch < chunks; ++ch) em[ch % macros] += ic.energy;
-    Joule want{0.0};
-    const std::size_t per_bank = mem.config().macros_per_bank;
-    for (std::size_t bk = 0; bk < mem.bank_count(); ++bk) {
-      Joule bank{0.0};
-      for (std::size_t i = 0; i < mem.bank(bk).macro_count(); ++i)
-        bank += em[bk * per_bank + i];
-      want += bank;
+      // Macro m runs chunks m, m + M, ... one single-instruction program each.
+      std::vector<Replay> per_macro;
+      for (std::size_t m = 0; m < macros; ++m) {
+        macro::Program p;
+        for (std::uint64_t ch = m; ch < chunks; ch += macros) p.push(c.inst);
+        per_macro.push_back(replay(mem.macro(0).config(), p, false, policy, [&](std::size_t k) {
+          const std::size_t ch = m + k * macros;
+          return std::make_pair(chunk_of(a, ch, per_chunk), chunk_of(b, ch, per_chunk));
+        }));
+      }
+      const auto [cycles, dense] = makespans(per_macro);
+      EXPECT_EQ(res.stats.elapsed_cycles, cycles) << what;
+      EXPECT_EQ(res.stats.adaptive_cycles_saved, dense - cycles) << what;
+      std::vector<Joule> energy;
+      for (const Replay& r : per_macro) energy.push_back(r.ledger.total_energy());
+      EXPECT_EQ(res.stats.energy.si(), bank_fold(mem, energy).si()) << what;
+      if (!policy.enabled()) {
+        const macro::InstructionCost ic = macro::CostModel(mem.macro(0).config()).instruction_cost(c.inst);
+        EXPECT_EQ(res.stats.elapsed_cycles, ic.cycles * ((chunks + macros - 1) / macros)) << what;
+      }
     }
-    EXPECT_EQ(res.stats.energy.si(), want.si()) << to_string(c.op.kind);
+  }
+}
+
+TEST(ExecutionEngine, ForwardStreamConservesLedger) {
+  // run_forward's per-op and batch account against the reference ledger's
+  // replay of each macro's fused program: macro m's instruction l*J + j is
+  // layer l of op j (activation chunk l*M + m as multiplicand, weight j's
+  // as multiplier), every MULT on the chained datapath. Per-op cycles come
+  // from macro 0, per-op energy folds macro-then-layer, the batch energy
+  // bank-then-macro.
+  const unsigned bits = 8;
+  const std::size_t n = 200;
+  const std::size_t ops = 3;
+  for (const macro::AdaptivePolicy& policy : kPolicies) {
+    macro::ImcMemory mem(tiny_memory());
+    ExecutionEngine eng(mem, EngineConfig{4});
+    eng.set_adaptive_policy(policy);
+    const std::size_t macros = mem.macro_count();
+    std::vector<std::vector<std::uint64_t>> w;
+    std::vector<ResidentOperand> handles;
+    for (std::size_t j = 0; j < ops; ++j) {
+      w.push_back(random_vec(n, bits, 40 + j));
+      for (std::size_t i = j; i < n; i += 4) w.back()[i] >>= 5;  // narrow multipliers
+      handles.push_back(eng.pin(w.back(), bits, OperandLayout::MultUnit));
+    }
+    auto x = random_vec(n, bits, 50);
+    for (std::size_t i = 0; i < n; ++i)
+      if (i % 4 != 0) x[i] = 0;  // 75%-zero activation
+    const std::vector<OpResult> res = eng.run_forward(handles, x);
+    ASSERT_EQ(eng.fusion_stats().fused_runs, 1u);
+    const BatchStats& batch = eng.last_batch();
+
+    const std::size_t per_op = eng.mult_units_per_row(bits);
+    const std::size_t chunks = (n + per_op - 1) / per_op;
+    std::vector<Replay> per_macro;
+    for (std::size_t m = 0; m < std::min(chunks, macros); ++m) {
+      // Rows only need the fused layout's shape: one activation row per
+      // layer shared by every op. Prices do not depend on row indices.
+      const std::size_t layers_m = (chunks - m - 1) / macros + 1;
+      macro::Program p;
+      for (std::size_t l = 0; l < layers_m; ++l)
+        for (std::size_t j = 0; j < ops; ++j)
+          p.mult(array::RowRef::main(2 * l), array::RowRef::main(2 * (32 + j * 8 + l)), bits);
+      per_macro.push_back(replay(mem.macro(0).config(), p, true, policy, [&](std::size_t k) {
+        const std::size_t c = (k / ops) * macros + m;
+        return std::make_pair(chunk_of(x, c, per_op), chunk_of(w[k % ops], c, per_op));
+      }));
+    }
+    const std::string what = "policy=" + std::to_string(policy.enabled());
+    const std::size_t layers0 = per_macro[0].costs.size() / ops;
+    for (std::size_t j = 0; j < ops; ++j) {
+      std::uint64_t cycles = 0, adaptive = 0, instructions = 0;
+      for (std::size_t l = 0; l < layers0; ++l) {
+        cycles += per_macro[0].costs[l * ops + j].cycles;
+        adaptive += per_macro[0].adaptive[l * ops + j];
+      }
+      Joule energy{0.0};
+      for (const Replay& r : per_macro) {
+        instructions += r.costs.size() / ops;
+        for (std::size_t l = 0; l < r.costs.size() / ops; ++l) energy += r.costs[l * ops + j].energy;
+      }
+      EXPECT_EQ(res[j].stats.elapsed_cycles, cycles) << what << " op " << j;
+      EXPECT_EQ(res[j].stats.adaptive_cycles_saved, adaptive) << what << " op " << j;
+      EXPECT_EQ(res[j].stats.instructions, instructions) << what << " op " << j;
+      EXPECT_EQ(res[j].stats.energy.si(), energy.si()) << what << " op " << j;
+      EXPECT_EQ(res[j].stats.elapsed_cycles + res[j].stats.fused_cycles_saved +
+                    res[j].stats.adaptive_cycles_saved,
+                macro::op_cycles(macro::Op::Mult, bits) * layers0)
+          << what << " op " << j;
+    }
+    const auto [cycles, dense] = makespans(per_macro);
+    std::vector<Joule> energy(macros, Joule{0.0});
+    for (std::size_t m = 0; m < per_macro.size(); ++m) energy[m] = per_macro[m].ledger.total_energy();
+    EXPECT_EQ(batch.compute_cycles, cycles) << what;
+    EXPECT_EQ(batch.adaptive_cycles_saved, dense - cycles) << what;
+    EXPECT_EQ(batch.energy.si(), bank_fold(mem, energy).si()) << what;
+    if (policy.enabled()) {
+      EXPECT_GT(batch.adaptive_cycles_saved, 0u);
+    }
+  }
+}
+
+TEST(ExecutionEngine, ChainStreamConservesLedger) {
+  // run_chain's account against the reference ledger's replay of each
+  // macro's chain program (compiled here exactly as the engine compiles
+  // it): makespan cycles, summed instructions, bank-then-macro energy.
+  const unsigned bits = 4;
+  const std::size_t n = 150;
+  auto ca = random_vec(n, bits, 60);
+  const auto cb = random_vec(n, 2, 61);  // 2-bit multipliers narrow the MULTs
+  const auto l0 = random_vec(n, 2 * bits, 62);
+  const auto l1 = random_vec(n, 2 * bits, 63);
+  for (std::size_t i = 0; i < n; i += 2) ca[i] = 0;
+  for (const macro::AdaptivePolicy& policy : kPolicies) {
+    macro::ImcMemory mem(tiny_memory());
+    ExecutionEngine eng(mem, EngineConfig{4});
+    eng.set_adaptive_policy(policy);
+    const std::size_t macros = mem.macro_count();
+    ChainRequest req;
+    req.bits = bits;
+    req.a = ca;
+    req.b = cb;
+    req.links = {{macro::ChainLinkKind::Add, l0}, {macro::ChainLinkKind::AddShift, l1}};
+    const OpResult res = eng.run_chain(req);
+
+    const std::size_t per_op = eng.mult_units_per_row(bits);
+    const std::size_t chunks = (n + per_op - 1) / per_op;
+    const std::size_t links = req.links.size();
+    const std::size_t pairs_per_layer = (2 + links + 1) / 2;
+    const macro::FusionCompiler compiler(mem.macro(0).config().geometry);
+    std::vector<Replay> per_macro;
+    std::uint64_t instructions = 0;
+    for (std::size_t m = 0; m < std::min(chunks, macros); ++m) {
+      macro::ChainSpec spec;
+      spec.bits = bits;
+      for (std::size_t l = 0; l < (chunks - m - 1) / macros + 1; ++l) {
+        macro::ChainLayerSpec layer;
+        layer.a_row = 2 * pairs_per_layer * l;
+        layer.b_row = layer.a_row + 1;
+        for (std::size_t j = 0; j < links; ++j)
+          layer.links.emplace_back(req.links[j].kind, layer.a_row + 2 + j);
+        spec.layers.push_back(std::move(layer));
+      }
+      const macro::VerifiedProgram vp = compiler.compile_chain(spec);
+      instructions += vp.program().size();
+      per_macro.push_back(
+          replay(mem.macro(0).config(), vp.program(), true, policy, [&](std::size_t k) {
+            const std::size_t c = (k / (1 + links)) * macros + m;
+            return std::make_pair(chunk_of(ca, c, per_op), chunk_of(cb, c, per_op));
+          }));
+    }
+    const std::string what = "policy=" + std::to_string(policy.enabled());
+    const auto [cycles, dense] = makespans(per_macro);
+    std::vector<Joule> energy(macros, Joule{0.0});
+    for (std::size_t m = 0; m < per_macro.size(); ++m) energy[m] = per_macro[m].ledger.total_energy();
+    EXPECT_EQ(res.stats.instructions, instructions) << what;
+    EXPECT_EQ(res.stats.elapsed_cycles, cycles) << what;
+    EXPECT_EQ(res.stats.adaptive_cycles_saved, dense - cycles) << what;
+    EXPECT_EQ(res.stats.energy.si(), bank_fold(mem, energy).si()) << what;
+    EXPECT_EQ(eng.last_batch().energy.si(), res.stats.energy.si()) << what;
+    if (policy.enabled()) {
+      EXPECT_GT(res.stats.adaptive_cycles_saved, 0u);
+    }
   }
 }
 

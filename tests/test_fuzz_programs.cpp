@@ -161,7 +161,7 @@ TEST(FuzzPrograms, RandomStreamsMatchReferenceMachine) {
     ASSERT_TRUE(rep.ok()) << "round " << round << ":\n" << rep.to_string();
 
     std::vector<TraceEntry> trace;
-    ctl.run(verify(p, macro.config().geometry), &trace);
+    ctl.run(verify(p, macro.config().geometry), TraceRecorder{p, trace});
     ASSERT_EQ(trace.size(), p.size());
     for (std::size_t k = 0; k < trace.size(); ++k) {
       const BitVector want = ref.exec(trace[k].inst);
@@ -215,7 +215,6 @@ TEST(FuzzPrograms, CorruptedStreamsAreRejectedBeforeExecution) {
     // Rejected whole: no VerifiedProgram exists, so not even the valid
     // prefix can reach the macro.
     EXPECT_THROW((void)verify(p, macro.config().geometry), std::invalid_argument);
-    EXPECT_EQ(macro.total_cycles(), 0u) << "round " << round;
   }
 }
 

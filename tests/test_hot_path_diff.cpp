@@ -18,6 +18,7 @@
 #include "macro/program.hpp"
 #include "macro/verifier.hpp"
 #include "periph/falogics.hpp"
+#include "reference_ledger.hpp"
 
 namespace bpim {
 namespace {
@@ -170,8 +171,8 @@ TEST(HotPathDiff, ProgramPathMatchesDirectDatapathAndOracles) {
   // a controller on one macro, against the same sequence of direct datapath
   // calls on a twin macro (same config -> identical state evolution). The
   // driven-out rows must match bitwise, per-op cycles/energy must match the
-  // twin's ledger exactly, and each result must also agree with the
-  // independent per-bit oracle.
+  // reference ledger's replay exactly, and each result must also agree with
+  // the independent per-bit oracle.
   Rng rng(0x9406);
   const macro::MacroConfig cfg;
   const std::size_t cols = cfg.geometry.cols;
@@ -184,6 +185,7 @@ TEST(HotPathDiff, ProgramPathMatchesDirectDatapathAndOracles) {
     macro::ImcMacro programmed{cfg};
     macro::OpCompiler compiler(cfg.geometry);
     macro::MacroController ctl(programmed);
+    macro::ReferenceLedger ledger{cfg};
     for (const K kind : {K::Add, K::Sub, K::Mult, K::AddShift, K::Not, K::Logic}) {
       for (int rep = 0; rep < 6; ++rep) {
         std::size_t ri_a = rng.next_u64() % rows;
@@ -227,15 +229,17 @@ TEST(HotPathDiff, ProgramPathMatchesDirectDatapathAndOracles) {
             break;
         }
         std::vector<macro::TraceEntry> trace;
-        (void)ctl.run(*prog, &trace);
+        (void)ctl.run(*prog, macro::TraceRecorder{prog->program(), trace});
         ASSERT_EQ(trace.size(), 1u);
         const BitVector& got = trace.back().result;
         const std::string what = "kind=" + std::string(1, "ASMXNL"[static_cast<int>(kind)]) +
                                  " bits=" + std::to_string(bits) + " rows=(" +
                                  std::to_string(ri_a) + "," + std::to_string(ri_b) + ")";
         EXPECT_EQ(got, want) << what;
-        EXPECT_EQ(trace.back().cycles, direct.last_op().cycles) << what;
-        EXPECT_EQ(trace.back().op_energy.si(), direct.last_op().op_energy.si()) << what;
+        // The controller's price against the reference ledger's replay.
+        const macro::InstructionCost charged = ledger.charge(prog->program().instructions()[0]);
+        EXPECT_EQ(trace.back().cycles, charged.cycles) << what;
+        EXPECT_EQ(trace.back().op_energy.si(), charged.energy.si()) << what;
 
         switch (kind) {
           case K::Add:
@@ -316,7 +320,9 @@ TEST(HotPathDiff, AdaptiveExecutionIsBitIdenticalAcrossOpsAndSparsity) {
   // The adaptive policy may only move cycles, never bits: every op kind x
   // precision x operand sparsity, run policy-on against a policy-off twin
   // and the per-bit oracles, with the three-way cycle split checked exactly
-  // (full == adaptive + adaptive_cycles_saved, both == Table 1 static).
+  // (full == adaptive + adaptive_cycles_saved, both == Table 1 static) and
+  // the adaptive price checked against the reference ledger's replay of
+  // the resolved plan.
   Rng rng(0xADA7);
   const macro::MacroConfig cfg;
   const std::size_t cols = cfg.geometry.cols;
@@ -365,9 +371,12 @@ TEST(HotPathDiff, AdaptiveExecutionIsBitIdenticalAcrossOpsAndSparsity) {
               case K::Not: prog = &compiler.unary(macro::Op::Not, a, d1, bits); break;
               case K::Logic: prog = &compiler.logic(periph::LogicFn::Nor, a, b); break;
             }
+            const macro::MultPlan plan = adapt.plan_mult(a, b, bits, policy);
             std::vector<macro::TraceEntry> ft, at;
-            const macro::ProgramStats fs = full_ctl.run(*prog, &ft);
-            const macro::ProgramStats as = adapt_ctl.run(*prog, &at, false, policy);
+            const macro::ProgramStats fs =
+                full_ctl.run(*prog, macro::TraceRecorder{prog->program(), ft});
+            const macro::ProgramStats as =
+                adapt_ctl.run(*prog, macro::TraceRecorder{prog->program(), at}, false, policy);
             ASSERT_EQ(ft.size(), 1u);
             ASSERT_EQ(at.size(), 1u);
             const std::string what = "kind=" +
@@ -384,6 +393,10 @@ TEST(HotPathDiff, AdaptiveExecutionIsBitIdenticalAcrossOpsAndSparsity) {
             EXPECT_EQ(as.cycles + as.adaptive_cycles_saved, fs.cycles) << what;
             EXPECT_EQ(at.back().adaptive_cycles_saved, as.adaptive_cycles_saved) << what;
             EXPECT_LE(as.energy.si(), fs.energy.si()) << what;
+            const macro::InstructionCost charged =
+                macro::ReferenceLedger{cfg}.charge(prog->program().instructions()[0], plan);
+            EXPECT_EQ(at.back().cycles, charged.cycles) << what;
+            EXPECT_EQ(at.back().op_energy.si(), charged.energy.si()) << what;
             if (kind != K::Mult) {
               EXPECT_EQ(as.adaptive_cycles_saved, 0u) << what;
             } else {
@@ -414,7 +427,7 @@ TEST(HotPathDiff, AdaptiveNarrowingAndSkipSaveExactCycles) {
     m.poke_mult_operand(1, u, bits, 0xFF);
   }
   std::vector<macro::TraceEntry> t;
-  macro::ProgramStats s = ctl.run(prog, &t, false, policy);
+  macro::ProgramStats s = ctl.run(prog, macro::TraceRecorder{prog.program(), t}, false, policy);
   EXPECT_EQ(s.cycles, 1u);
   EXPECT_EQ(s.adaptive_cycles_saved, bits + 1u);
   EXPECT_EQ(t.back().result.popcount(), 0u);
@@ -426,7 +439,7 @@ TEST(HotPathDiff, AdaptiveNarrowingAndSkipSaveExactCycles) {
     m.poke_mult_operand(1, u, bits, 3);
   }
   t.clear();
-  s = ctl.run(prog, &t, false, policy);
+  s = ctl.run(prog, macro::TraceRecorder{prog.program(), t}, false, policy);
   EXPECT_EQ(s.cycles, 4u);  // zero-init + staging + 2 iterations
   EXPECT_EQ(s.adaptive_cycles_saved, bits - 2u);
   for (std::size_t u = 0; u < units; ++u)
@@ -463,9 +476,10 @@ TEST(HotPathDiff, AdaptiveFusedChainStaysBitIdenticalAndConserving) {
   const macro::VerifiedProgram prog = macro::verify(std::move(chain), cfg.geometry);
 
   std::vector<macro::TraceEntry> ft, at;
-  const macro::ProgramStats fs = full_ctl.run(prog, &ft);
+  const macro::ProgramStats fs = full_ctl.run(prog, macro::TraceRecorder{prog.program(), ft});
   const macro::ProgramStats as =
-      adapt_ctl.run(prog, &at, /*fuse_mac_chains=*/true, macro::AdaptivePolicy{true, true});
+      adapt_ctl.run(prog, macro::TraceRecorder{prog.program(), at}, /*fuse_mac_chains=*/true,
+                    macro::AdaptivePolicy{true, true});
   ASSERT_EQ(ft.size(), 3u);
   ASSERT_EQ(at.size(), 3u);
   for (std::size_t k = 0; k < 3; ++k) {

@@ -7,6 +7,7 @@
 #include "baseline/bitserial.hpp"
 #include "common/rng.hpp"
 #include "macro/imc_macro.hpp"
+#include "macro/program.hpp"
 
 namespace bpim {
 namespace {
@@ -49,9 +50,9 @@ TEST(Integration, BitParallelWinsCyclesPerOpAtWideRows) {
   // retires 16 word-ops per cycle; the baseline needs 9 cycles for 64.
   macro::MacroConfig cfg;
   macro::ImcMacro prop(cfg);
-  prop.add_rows(RowRef::main(0), RowRef::main(1), 8);
-  const double prop_cpo =
-      static_cast<double>(prop.last_op().cycles) / static_cast<double>(prop.words_per_row(8));
+  const auto add = macro::Program().add(RowRef::main(0), RowRef::main(1), 8);
+  const double prop_cpo = static_cast<double>(prop.cost_model().program_cost(add).cycles) /
+                          static_cast<double>(prop.words_per_row(8));
 
   baseline::BitSerialMacro serial;
   const double base_cpo = static_cast<double>(baseline::BitSerialMacro::add_cycles(8)) /
@@ -66,8 +67,8 @@ TEST(Integration, MultCrossoverDependsOnRowWidth) {
     macro::MacroConfig cfg;
     cfg.geometry.cols = cols;
     macro::ImcMacro m(cfg);
-    m.mult_rows(RowRef::main(0), RowRef::main(1), 8);
-    return static_cast<double>(m.last_op().cycles) /
+    const auto mult = macro::Program().mult(RowRef::main(0), RowRef::main(1), 8);
+    return static_cast<double>(m.cost_model().program_cost(mult).cycles) /
            static_cast<double>(m.mult_units_per_row(8));
   };
   const double base_cpo = static_cast<double>(baseline::BitSerialMacro::mult_cycles(8)) / 64.0;

@@ -4,6 +4,8 @@
 
 #include "common/rng.hpp"
 #include "macro/imc_macro.hpp"
+#include "macro/program.hpp"
+#include "macro/verifier.hpp"
 
 namespace bpim::macro {
 namespace {
@@ -32,7 +34,8 @@ TEST_P(MacroArith, AddAllWordsOfARowPair) {
     macro_.poke_word(1, w, bits, b[w]);
   }
   const BitVector sum = macro_.add_rows(RowRef::main(0), RowRef::main(1), bits);
-  EXPECT_EQ(macro_.last_op().cycles, op_cycles(Op::Add, bits));
+  EXPECT_EQ(macro_.cost_model().program_cost(Program().add(RowRef::main(0), RowRef::main(1), bits)).cycles,
+            op_cycles(Op::Add, bits));
   for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t s = 0;
     for (unsigned i = 0; i < bits; ++i)
@@ -52,7 +55,9 @@ TEST_P(MacroArith, SubIsTwosComplement) {
     macro_.poke_word(1, w, bits, b[w]);
   }
   const BitVector diff = macro_.sub_rows(RowRef::main(0), RowRef::main(1), bits);
-  EXPECT_EQ(macro_.last_op().cycles, 2u);  // Table 1: SUB takes 2 cycles
+  // Table 1: SUB takes 2 cycles
+  EXPECT_EQ(macro_.cost_model().program_cost(Program().sub(RowRef::main(0), RowRef::main(1), bits)).cycles,
+            2u);
   for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t d = 0;
     for (unsigned i = 0; i < bits; ++i)
@@ -74,7 +79,11 @@ TEST_P(MacroArith, AddShiftIsSumTimesTwo) {
   }
   const RowRef dest = RowRef::dummy(ImcMacro::kDummyAccum);
   const BitVector out = macro_.add_shift_rows(RowRef::main(0), RowRef::main(1), bits, dest);
-  EXPECT_EQ(macro_.last_op().cycles, 1u);  // single-cycle add-and-shift
+  // single-cycle add-and-shift
+  EXPECT_EQ(macro_.cost_model()
+                .program_cost(Program().add_shift(RowRef::main(0), RowRef::main(1), bits, dest))
+                .cycles,
+            1u);
   for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t s = 0;
     for (unsigned i = 0; i < bits; ++i)

@@ -1,5 +1,7 @@
-// The macro's cycle-by-cycle energy ledger must agree with the closed-form
-// EnergyModel (same component prices, same recipes) -- Table 2 by simulation.
+// The energy of ops executed on the macro -- priced per instruction by its
+// CostModel -- must agree with the closed-form EnergyModel (same component
+// prices, same recipes): Table 2 by simulation. CostModel must also equal
+// the reference ledger's charge-by-charge replay of the sequencer, bitwise.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,8 @@
 #include "macro/cost_model.hpp"
 #include "macro/imc_macro.hpp"
 #include "macro/program.hpp"
+#include "macro/verifier.hpp"
+#include "reference_ledger.hpp"
 
 namespace bpim::macro {
 namespace {
@@ -22,9 +26,20 @@ MacroConfig config_with(SeparatorMode sep) {
   return cfg;
 }
 
-/// Energy per word of a full-row op = ledger energy / words per row.
-double per_word_fj(const ImcMacro& m, unsigned bits) {
-  return in_fJ(m.last_op().op_energy) / static_cast<double>(m.cols() / bits);
+/// Executes `p` on `m` through the controller; returns its account.
+ProgramStats execute(ImcMacro& m, const Program& p) {
+  MacroController ctl(m);
+  return ctl.run(verify(p, m.config().geometry));
+}
+
+/// Energy per word of a full-row op = its energy / words per row.
+double per_word_fj(const ImcMacro& m, const ProgramStats& st, unsigned bits) {
+  return in_fJ(st.energy) / static_cast<double>(m.cols() / bits);
+}
+
+/// Energy per 2N-bit unit of a MULT.
+double per_unit_fj(const ImcMacro& m, const ProgramStats& st, unsigned bits) {
+  return in_fJ(st.energy) / static_cast<double>(m.mult_units_per_row(bits));
 }
 
 class MacroEnergy : public ::testing::TestWithParam<unsigned> {};
@@ -33,8 +48,8 @@ TEST_P(MacroEnergy, AddMatchesClosedForm) {
   const unsigned bits = GetParam();
   ImcMacro m{MacroConfig{}};
   const EnergyModel ref;
-  m.add_rows(RowRef::main(0), RowRef::main(1), bits);
-  EXPECT_NEAR(per_word_fj(m, bits), in_fJ(ref.add(bits, m.config().vdd)), 1e-6);
+  const ProgramStats st = execute(m, Program().add(RowRef::main(0), RowRef::main(1), bits));
+  EXPECT_NEAR(per_word_fj(m, st, bits), in_fJ(ref.add(bits, m.config().vdd)), 1e-6);
 }
 
 TEST_P(MacroEnergy, SubMatchesClosedFormBothSeparatorModes) {
@@ -42,8 +57,8 @@ TEST_P(MacroEnergy, SubMatchesClosedFormBothSeparatorModes) {
   const EnergyModel ref;
   for (const auto sep : {SeparatorMode::Enabled, SeparatorMode::Disabled}) {
     ImcMacro m{config_with(sep)};
-    m.sub_rows(RowRef::main(0), RowRef::main(1), bits);
-    EXPECT_NEAR(per_word_fj(m, bits), in_fJ(ref.sub(bits, m.config().vdd, sep)), 1e-6)
+    const ProgramStats st = execute(m, Program().sub(RowRef::main(0), RowRef::main(1), bits));
+    EXPECT_NEAR(per_word_fj(m, st, bits), in_fJ(ref.sub(bits, m.config().vdd, sep)), 1e-6)
         << (sep == SeparatorMode::Enabled ? "w/ sep" : "w/o sep");
   }
 }
@@ -55,10 +70,8 @@ TEST_P(MacroEnergy, MultMatchesClosedFormBothSeparatorModes) {
     ImcMacro m{config_with(sep)};
     m.poke_mult_operand(0, 0, bits, 1);
     m.poke_mult_operand(1, 0, bits, 1);
-    m.mult_rows(RowRef::main(0), RowRef::main(1), bits);
-    const double per_unit =
-        in_fJ(m.last_op().op_energy) / static_cast<double>(m.mult_units_per_row(bits));
-    EXPECT_NEAR(per_unit, in_fJ(ref.mult(bits, m.config().vdd, sep)), 1e-6)
+    const ProgramStats st = execute(m, Program().mult(RowRef::main(0), RowRef::main(1), bits));
+    EXPECT_NEAR(per_unit_fj(m, st, bits), in_fJ(ref.mult(bits, m.config().vdd, sep)), 1e-6)
         << (sep == SeparatorMode::Enabled ? "w/ sep" : "w/o sep");
   }
 }
@@ -73,14 +86,14 @@ TEST(MacroEnergyTable2, SimulatedMacroReproducesTable2) {
     double fj = 0.0;
     const std::string op(t.op);
     if (op == "ADD") {
-      m.add_rows(RowRef::main(0), RowRef::main(1), t.bits);
-      fj = per_word_fj(m, t.bits);
+      fj = per_word_fj(m, execute(m, Program().add(RowRef::main(0), RowRef::main(1), t.bits)),
+                       t.bits);
     } else if (op == "SUB") {
-      m.sub_rows(RowRef::main(0), RowRef::main(1), t.bits);
-      fj = per_word_fj(m, t.bits);
+      fj = per_word_fj(m, execute(m, Program().sub(RowRef::main(0), RowRef::main(1), t.bits)),
+                       t.bits);
     } else {
-      m.mult_rows(RowRef::main(0), RowRef::main(1), t.bits);
-      fj = in_fJ(m.last_op().op_energy) / static_cast<double>(m.mult_units_per_row(t.bits));
+      fj = per_unit_fj(m, execute(m, Program().mult(RowRef::main(0), RowRef::main(1), t.bits)),
+                       t.bits);
     }
     EXPECT_NEAR(fj, t.paper_fj, 0.06 * t.paper_fj)
         << op << " " << t.bits << "b sep=" << (t.sep == SeparatorMode::Enabled);
@@ -88,110 +101,76 @@ TEST(MacroEnergyTable2, SimulatedMacroReproducesTable2) {
 }
 
 TEST(MacroEnergyConservation, InstructionCostMatchesLedgerBitwise) {
-  // The conservation law, per instruction: CostModel must replay the exact
-  // charge sequence of the executing datapath -- same components, same bit
-  // counts, same fold order -- so cycles match as integers and energy as
-  // bitwise-identical doubles, across precisions, separator modes and
-  // supply voltages.
+  // The conservation law, per instruction: CostModel must price the exact
+  // charge sequence of the sequencer -- same components, same bit counts,
+  // same fold order -- so cycles match the reference ledger as integers and
+  // energy as bitwise-identical doubles, across precisions, separator modes
+  // and supply voltages.
   const RowRef d1 = RowRef::dummy(ImcMacro::kDummyOperand);
   const RowRef d2 = RowRef::dummy(ImcMacro::kDummyAccum);
+  const RowRef r0 = RowRef::main(0);
+  const RowRef r1 = RowRef::main(1);
   for (const auto sep : {SeparatorMode::Enabled, SeparatorMode::Disabled}) {
     for (const double vdd : {0.9, 0.6}) {
       MacroConfig cfg;
       cfg.separator = sep;
       cfg.vdd = Volt(vdd);
-      ImcMacro m{cfg};
+      ReferenceLedger ledger{cfg};
       const CostModel cost(cfg);
-      const auto expect_priced = [&](const Instruction& inst, const char* what) {
-        const InstructionCost priced = cost.instruction_cost(inst);
-        EXPECT_EQ(priced.cycles, m.last_op().cycles)
-            << what << " bits=" << inst.bits << " vdd=" << vdd
+      const auto expect_priced = [&](const InstructionCost& priced, const InstructionCost& want,
+                                     const char* what, unsigned bits) {
+        EXPECT_EQ(priced.cycles, want.cycles)
+            << what << " bits=" << bits << " vdd=" << vdd
             << " sep=" << (sep == SeparatorMode::Enabled);
-        EXPECT_EQ(priced.energy.si(), m.last_op().op_energy.si())
-            << what << " bits=" << inst.bits << " vdd=" << vdd
+        EXPECT_EQ(priced.energy.si(), want.energy.si())
+            << what << " bits=" << bits << " vdd=" << vdd
             << " sep=" << (sep == SeparatorMode::Enabled);
       };
+      const auto expect_static = [&](const Instruction& inst, const char* what) {
+        expect_priced(cost.instruction_cost(inst), ledger.charge(inst), what, inst.bits);
+      };
       for (const unsigned bits : {2u, 4u, 8u, 16u}) {
-        Instruction inst;
-        inst.bits = bits;
-
-        inst.op = Op::Add;
-        inst.a = RowRef::main(0);
-        inst.b = RowRef::main(1);
-        m.add_rows(inst.a, inst.b, bits);
-        expect_priced(inst, "ADD");
-
-        inst.dest = d2;
-        m.add_rows(inst.a, inst.b, bits, d2);
-        expect_priced(inst, "ADD->D2");
-        inst.dest.reset();
-
-        inst.op = Op::Sub;
-        m.sub_rows(inst.a, inst.b, bits);
-        expect_priced(inst, "SUB");
-
-        inst.op = Op::AddShift;
-        inst.dest = d2;
-        m.add_shift_rows(inst.a, inst.b, bits, d2);
-        expect_priced(inst, "ADD-SHIFT");
-        inst.dest.reset();
-
-        inst.op = Op::Not;
-        inst.dest = d1;
-        m.unary_row(Op::Not, inst.a, d1, bits);
-        expect_priced(inst, "NOT");
-        inst.dest.reset();
-
-        inst.op = Op::And;
-        inst.logic_fn = periph::LogicFn::Xor;
-        m.logic_rows(periph::LogicFn::Xor, inst.a, inst.b);
-        expect_priced(inst, "LOGIC");
-
-        inst.op = Op::Mult;
-        m.mult_rows(inst.a, inst.b, bits);
-        expect_priced(inst, "MULT");
+        expect_static(instruction(Op::Add, r0, r1, bits), "ADD");
+        expect_static(instruction(Op::Add, r0, r1, bits, d2), "ADD->D2");
+        expect_static(instruction(Op::Sub, r0, r1, bits), "SUB");
+        expect_static(instruction(Op::AddShift, r0, r1, bits, d2), "ADD-SHIFT");
+        expect_static(instruction(Op::Not, r0, r0, bits, d1), "NOT");
+        Instruction logic = instruction(Op::And, r0, r1, bits);
+        logic.logic_fn = periph::LogicFn::Xor;
+        expect_static(logic, "LOGIC");
+        const Instruction mult = instruction(Op::Mult, r0, r1, bits);
+        expect_static(mult, "MULT");
 
         // Chained MULTs: pipelined, and pipelined + D1-staged.
-        Instruction prev = inst;
-        m.mult_rows_chained(RowRef::main(2), RowRef::main(3), bits,
-                            /*d1_staged=*/false, /*pipelined=*/true);
-        Instruction chained = inst;
-        chained.a = RowRef::main(2);
-        chained.b = RowRef::main(3);
-        const InstructionCost piped = cost.instruction_cost(chained, &prev);
-        EXPECT_EQ(piped.cycles, m.last_op().cycles) << "MULT piped bits=" << bits;
-        EXPECT_EQ(piped.energy.si(), m.last_op().op_energy.si()) << "MULT piped bits=" << bits;
-
-        prev = chained;
-        m.mult_rows_chained(chained.a, RowRef::main(5), bits,
-                            /*d1_staged=*/true, /*pipelined=*/true);
-        Instruction staged = chained;
-        staged.b = RowRef::main(5);
-        const InstructionCost st = cost.instruction_cost(staged, &prev);
-        EXPECT_EQ(st.cycles, m.last_op().cycles) << "MULT staged bits=" << bits;
-        EXPECT_EQ(st.energy.si(), m.last_op().op_energy.si()) << "MULT staged bits=" << bits;
+        const Instruction piped = instruction(Op::Mult, RowRef::main(2), RowRef::main(3), bits);
+        expect_priced(cost.instruction_cost(piped, &mult),
+                      ledger.charge(piped, MultPlan::full(bits, false, true)), "MULT piped",
+                      bits);
+        const Instruction staged = instruction(Op::Mult, piped.a, RowRef::main(5), bits);
+        expect_priced(cost.instruction_cost(staged, &piped),
+                      ledger.charge(staged, MultPlan::full(bits, true, true)), "MULT staged",
+                      bits);
       }
     }
   }
 }
 
 TEST(MacroEnergyProperties, EnergyIndependentOfDataValues) {
-  // The structural ledger charges by bits touched, not data (activity
-  // factors are modelled as constants) -- two different operand sets must
-  // report identical op energy.
+  // Energy is priced by bits touched, not data (activity factors are
+  // modelled as constants) -- two different operand sets must report
+  // identical op energy.
   ImcMacro m{MacroConfig{}};
   Rng rng(9);
   BitVector r0(128), r1(128);
   r0.randomize(rng);
   r1.randomize(rng);
+  const Program add = Program().add(RowRef::main(0), RowRef::main(1), 8);
   m.poke_row(0, r0);
   m.poke_row(1, r1);
-  m.add_rows(RowRef::main(0), RowRef::main(1), 8);
-  const double e1 = m.last_op().op_energy.si();
+  const double e1 = execute(m, add).energy.si();
   m.poke_row(0, BitVector(128));
   m.poke_row(1, BitVector(128));
-  m.add_rows(RowRef::main(0), RowRef::main(1), 8);
-  EXPECT_DOUBLE_EQ(m.last_op().op_energy.si(), e1);
+  EXPECT_DOUBLE_EQ(execute(m, add).energy.si(), e1);
 }
 
 TEST(MacroEnergyProperties, LowerSupplyQuadraticallyCheaper) {
@@ -199,9 +178,8 @@ TEST(MacroEnergyProperties, LowerSupplyQuadraticallyCheaper) {
   lo.vdd = Volt(0.6);
   ImcMacro m09{MacroConfig{}};
   ImcMacro m06{lo};
-  m09.add_rows(RowRef::main(0), RowRef::main(1), 8);
-  m06.add_rows(RowRef::main(0), RowRef::main(1), 8);
-  EXPECT_NEAR(m06.last_op().op_energy.si() / m09.last_op().op_energy.si(),
+  const Program add = Program().add(RowRef::main(0), RowRef::main(1), 8);
+  EXPECT_NEAR(execute(m06, add).energy.si() / execute(m09, add).energy.si(),
               (0.6 / 0.9) * (0.6 / 0.9), 1e-9);
 }
 
@@ -209,9 +187,8 @@ TEST(MacroEnergyProperties, SeparatorNeverCostsEnergy) {
   for (const unsigned bits : {2u, 4u, 8u, 16u}) {
     ImcMacro with{config_with(SeparatorMode::Enabled)};
     ImcMacro without{config_with(SeparatorMode::Disabled)};
-    with.mult_rows(RowRef::main(0), RowRef::main(1), bits);
-    without.mult_rows(RowRef::main(0), RowRef::main(1), bits);
-    EXPECT_LT(with.last_op().op_energy.si(), without.last_op().op_energy.si());
+    const Program mult = Program().mult(RowRef::main(0), RowRef::main(1), bits);
+    EXPECT_LT(execute(with, mult).energy.si(), execute(without, mult).energy.si());
   }
 }
 

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include "macro/imc_macro.hpp"
+#include "macro/program.hpp"
+#include "macro/verifier.hpp"
 
 namespace bpim::macro {
 namespace {
@@ -57,7 +59,6 @@ TEST(MacroLogic, AllDualWlLogicFunctions) {
     std::uint64_t got = 0;
     for (unsigned i = 0; i < 64; ++i) got |= static_cast<std::uint64_t>(r.get(i)) << i;
     EXPECT_EQ(got, expect) << periph::to_string(fn);
-    EXPECT_EQ(m.last_op().cycles, 1u);
   };
   check(LogicFn::And, a & b);
   check(LogicFn::Nand, ~(a & b));
@@ -74,7 +75,8 @@ TEST(MacroLogic, UnaryNotCopyShift) {
 
   const BitVector n = m.unary_row(Op::Not, RowRef::main(7), dest, 8);
   EXPECT_EQ(n.to_u64() & 0xFF, 0b01001110u);
-  EXPECT_EQ(m.last_op().cycles, 1u);
+  EXPECT_EQ(m.cost_model().program_cost(Program().unary(Op::Not, RowRef::main(7), dest, 8)).cycles,
+            1u);
   EXPECT_EQ(m.sram().row(dest), n);  // written back
 
   const BitVector c = m.unary_row(Op::Copy, RowRef::main(7), dest, 8);
@@ -99,15 +101,16 @@ TEST(MacroLogic, UnaryRejectsArithmeticOps) {
                std::invalid_argument);
 }
 
-TEST(MacroLogic, CountersAccumulateAndReset) {
+TEST(MacroLogic, LogicOpsCostOneCycleEachInAProgram) {
   auto m = make_macro();
-  m.logic_rows(LogicFn::And, RowRef::main(0), RowRef::main(1));
-  m.logic_rows(LogicFn::Or, RowRef::main(2), RowRef::main(3));
-  EXPECT_EQ(m.total_cycles(), 2u);
-  EXPECT_GT(m.total_energy().si(), 0.0);
-  m.reset_counters();
-  EXPECT_EQ(m.total_cycles(), 0u);
-  EXPECT_DOUBLE_EQ(m.total_energy().si(), 0.0);
+  MacroController ctl(m);
+  Program p;
+  for (const LogicFn fn : {LogicFn::And, LogicFn::Nand, LogicFn::Or, LogicFn::Nor, LogicFn::Xor,
+                           LogicFn::Xnor})
+    p.logic(fn, RowRef::main(0), RowRef::main(1));
+  const ProgramStats st = ctl.run(verify(p, m.config().geometry));
+  EXPECT_EQ(st.cycles, 6u);
+  EXPECT_GT(st.energy.si(), 0.0);
 }
 
 TEST(MacroLogic, NeedsThreeDummyRows) {

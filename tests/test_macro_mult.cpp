@@ -5,6 +5,8 @@
 
 #include "common/rng.hpp"
 #include "macro/imc_macro.hpp"
+#include "macro/program.hpp"
+#include "macro/verifier.hpp"
 
 namespace bpim::macro {
 namespace {
@@ -31,8 +33,10 @@ TEST_P(MacroMult, CycleCountIsNPlusTwo) {
   const unsigned bits = GetParam();
   macro_.poke_mult_operand(0, 0, bits, 1);
   macro_.poke_mult_operand(1, 0, bits, 1);
-  macro_.mult_rows(RowRef::main(0), RowRef::main(1), bits);
-  EXPECT_EQ(macro_.last_op().cycles, bits + 2);  // Table 1: MULT = N+2
+  MacroController ctl(macro_);
+  const ProgramStats st =
+      ctl.run(verify(Program().mult(RowRef::main(0), RowRef::main(1), bits), macro_.config().geometry));
+  EXPECT_EQ(st.cycles, bits + 2);  // Table 1: MULT = N+2
 }
 
 TEST_P(MacroMult, AllUnitsMultiplyIndependently) {

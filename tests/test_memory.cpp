@@ -7,8 +7,6 @@
 namespace bpim::macro {
 namespace {
 
-using array::RowRef;
-using periph::LogicFn;
 
 TEST(Memory, DefaultConfigIs128KB) {
   ImcMemory mem;
@@ -25,25 +23,6 @@ TEST(Memory, FlatMacroIndexing) {
   EXPECT_EQ(mem.macro(0).peek_word(0, 0, 8), 1u);
   EXPECT_EQ(mem.macro(17).peek_word(0, 0, 8), 2u);
   EXPECT_THROW((void)mem.macro(64), std::invalid_argument);
-}
-
-TEST(Memory, EnergySumsAndCyclesMax) {
-  ImcMemory mem;
-  mem.macro(0).logic_rows(LogicFn::And, RowRef::main(0), RowRef::main(1));
-  mem.macro(0).logic_rows(LogicFn::Or, RowRef::main(0), RowRef::main(1));
-  mem.macro(1).logic_rows(LogicFn::And, RowRef::main(0), RowRef::main(1));
-  // Lock-step model: elapsed = max(2, 1) = 2; energy = sum of three ops.
-  EXPECT_EQ(mem.elapsed_cycles(), 2u);
-  const double one_op = mem.macro(1).total_energy().si();
-  EXPECT_NEAR(mem.total_energy().si(), 3.0 * one_op, 1e-20);
-}
-
-TEST(Memory, ResetClearsAllMacros) {
-  ImcMemory mem;
-  mem.macro(5).logic_rows(LogicFn::And, RowRef::main(0), RowRef::main(1));
-  mem.reset_counters();
-  EXPECT_EQ(mem.elapsed_cycles(), 0u);
-  EXPECT_DOUBLE_EQ(mem.total_energy().si(), 0.0);
 }
 
 TEST(Memory, BankBoundsChecked) {

@@ -9,9 +9,9 @@
 // precision, at 128 columns and at widths that end mid-word, on both entry
 // points (mult_rows with every adaptive policy, and mult_rows_planned with
 // hand-built plans: depths below the precision, skips, and d1-staged links
-// whose D1 holds high-half bits). Cycles must equal the plan's and ledger
-// energy must equal both CostModel's price and a charge-by-charge fold,
-// bit for bit.
+// whose D1 holds high-half bits). CostModel's price of each plan must equal
+// the plan's cycles and the reference ledger's charge-by-charge fold, bit
+// for bit.
 
 #include <gtest/gtest.h>
 
@@ -22,12 +22,12 @@
 #include "common/rng.hpp"
 #include "macro/imc_macro.hpp"
 #include "macro/program.hpp"
+#include "reference_ledger.hpp"
 
 namespace bpim::macro {
 namespace {
 
 using array::RowRef;
-using energy::Component;
 
 const RowRef kD1 = RowRef::dummy(ImcMacro::kDummyOperand);
 const RowRef kD2 = RowRef::dummy(ImcMacro::kDummyAccum);
@@ -65,28 +65,9 @@ BitVector stepped(const BitVector& d1, const BitVector& ff, unsigned bits, unsig
   return out;
 }
 
-/// MULT's ledger charge sequence folded left, charge by charge.
+/// MULT's charge sequence under `plan`, folded left by the reference ledger.
 Joule charge_fold(const ImcMacro& m, unsigned bits, const MultPlan& plan) {
-  const CostModel& cost = m.cost_model();
-  const auto& p = cost.params();
-  const double n = static_cast<double>(m.cols());
-  const double units = static_cast<double>(m.cols() / (2 * bits));
-  Joule e{0.0};
-  const auto charge = [&](Component c, double b) { e += cost.price(c) * b; };
-  charge(cost.wb_price(kD2), n * p.zero_init_activity);
-  charge(Component::SingleWlRead, bits * units);
-  charge(Component::FlipFlop, bits * units);
-  if (!plan.skip && !plan.d1_staged) {
-    charge(Component::SingleWlRead, bits * units);
-    charge(cost.wb_price(kD1), bits * units);
-  }
-  for (unsigned k = 0; k < plan.depth; ++k) {
-    charge(CostModel::compute_price(kD1, kD2), n);
-    charge(Component::FaLogic, n);
-    charge(Component::FlipFlop, units);
-    charge(cost.wb_price(kD2), n * p.mult_wb_activity);
-  }
-  return e;
+  return ReferenceLedger(m.config()).charge(instruction(Op::Mult, kD1, kD2, bits), plan).energy;
 }
 
 Instruction mult_inst(unsigned bits) {
@@ -125,8 +106,8 @@ void load_operands(ImcMacro& m, unsigned bits, Rng& rng) {
 }
 
 /// Checks one MULT that just ran on `m` with operand rows 0/1: D2 and the
-/// returned reference, D1, cycles and energy. `d1_before` is D1 as it stood
-/// when the add-shift iterations began.
+/// returned reference, D1, and the plan's price. `d1_before` is D1 as it
+/// stood when the add-shift iterations began.
 void expect_mult(const ImcMacro& m, const BitVector& d2_ref, unsigned bits, const MultPlan& plan,
                  const BitVector& d1_before, const std::string& where) {
   const BitVector& d1 = m.sram().row(kD1);
@@ -136,10 +117,9 @@ void expect_mult(const ImcMacro& m, const BitVector& d2_ref, unsigned bits, cons
   EXPECT_EQ(d1, d1_before) << where << ": D1 is only read by the iterations";
   EXPECT_EQ(d2, formula(d1_before, b, bits, plan.depth)) << where;
   EXPECT_EQ(d2, stepped(d1_before, b, bits, plan.depth)) << where;
-  EXPECT_EQ(m.last_op().cycles, plan.cycles()) << where;
-  const Joule priced = m.cost_model().instruction_cost(mult_inst(bits), plan).energy;
-  EXPECT_EQ(m.last_op().op_energy.si(), priced.si()) << where << ": ledger vs CostModel";
-  EXPECT_EQ(priced.si(), charge_fold(m, bits, plan).si()) << where << ": CostModel vs fold";
+  const InstructionCost priced = m.cost_model().instruction_cost(mult_inst(bits), plan);
+  EXPECT_EQ(priced.cycles, plan.cycles()) << where;
+  EXPECT_EQ(priced.energy.si(), charge_fold(m, bits, plan).si()) << where << ": CostModel vs fold";
   EXPECT_EQ(m.disturb_flips(), 0u) << where;
 }
 
