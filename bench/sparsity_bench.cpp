@@ -95,11 +95,17 @@ SweepPoint run_point(unsigned bits, int sparsity_pct, std::size_t ops) {
         m->poke_mult_operand(1, u, bits, x);
       }
     }
-    std::vector<macro::TraceEntry> dt, at;
-    const macro::ProgramStats ds = dense_ctl.run(prog, macro::TraceRecorder{prog.program(), dt});
-    const macro::ProgramStats as =
-        adapt_ctl.run(prog, macro::TraceRecorder{prog.program(), at}, false, policy);
-    if (at.back().result != dt.back().result) {
+    BitVector dense_out, adapt_out;  // each run's product row, copied out of its macro
+    const macro::ProgramStats ds =
+        dense_ctl.run(prog, [&](std::size_t, const BitVector& row, const macro::InstructionCost&,
+                                unsigned) { dense_out = row; });
+    const macro::ProgramStats as = adapt_ctl.run(
+        prog,
+        [&](std::size_t, const BitVector& row, const macro::InstructionCost&, unsigned) {
+          adapt_out = row;
+        },
+        false, policy);
+    if (adapt_out != dense_out) {
       std::cerr << "FATAL: adaptive result diverged from dense (bits=" << bits
                 << " sparsity=" << sparsity_pct << "%)\n";
       std::exit(1);

@@ -109,29 +109,6 @@ class ResultSink {
   void (*call_)(void*, std::size_t, const BitVector&, const InstructionCost&, unsigned) = nullptr;
 };
 
-/// Per-instruction execution record, for callers that want a whole trace.
-struct TraceEntry {
-  Instruction inst;
-  unsigned cycles = 0;
-  Joule op_energy{0.0};
-  BitVector result;  ///< copy of the row-wide result driven out
-  /// Cycles the adaptive policy saved on this instruction (MULT narrowing/
-  /// skipping; 0 for other ops or when the policy is off).
-  unsigned adaptive_cycles_saved = 0;
-};
-
-/// Sink that appends one TraceEntry per instruction of `program` to `out`
-/// (copying every result row): `ctl.run(vp, TraceRecorder{vp.program(), trace})`.
-struct TraceRecorder {
-  const Program& program;
-  std::vector<TraceEntry>& out;
-  void operator()(std::size_t index, const BitVector& result, const InstructionCost& cost,
-                  unsigned adaptive_cycles_saved) const {
-    out.push_back(TraceEntry{program.instructions()[index], cost.cycles, cost.energy, result,
-                             adaptive_cycles_saved});
-  }
-};
-
 /// Per-program account, derived from the instruction stream: run() prices
 /// every instruction through the macro's CostModel (cycles from timing/,
 /// joules from energy/), the one account of what the macro did.

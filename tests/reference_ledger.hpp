@@ -4,8 +4,7 @@
 //
 // This is the oracle for macro::CostModel the way baseline/naive_datapath
 // is the oracle for values. Each entry point charges the components, bit
-// counts and order of one hardware op -- what every datapath entry point
-// charged before CostModel became the macro's only account -- and folds
+// counts and order of the micro-actions one hardware op performs, and folds
 // them left, charge by charge, starting from zero per op. CostModel must
 // price every instruction to the identical integer cycles and the
 // identical energy bits; the tests that use this header check exactly

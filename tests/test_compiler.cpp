@@ -8,6 +8,7 @@
 #include "macro/program.hpp"
 #include "macro/verifier.hpp"
 #include "obs/metrics.hpp"
+#include "trace_recorder.hpp"
 
 namespace bpim::macro {
 namespace {

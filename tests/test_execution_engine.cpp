@@ -451,7 +451,7 @@ TEST(ExecutionEngine, ForwardStreamConservesLedger) {
   // from macro 0, per-op energy folds macro-then-layer, the batch energy
   // bank-then-macro.
   const unsigned bits = 8;
-  const std::size_t n = 200;
+  const std::size_t n = 500;  // 16 layers: enough terms that fold order shows in the bits
   const std::size_t ops = 3;
   for (const macro::AdaptivePolicy& policy : kPolicies) {
     macro::ImcMemory mem(tiny_memory());
@@ -482,7 +482,7 @@ TEST(ExecutionEngine, ForwardStreamConservesLedger) {
       macro::Program p;
       for (std::size_t l = 0; l < layers_m; ++l)
         for (std::size_t j = 0; j < ops; ++j)
-          p.mult(array::RowRef::main(2 * l), array::RowRef::main(2 * (32 + j * 8 + l)), bits);
+          p.mult(array::RowRef::main(2 * l), array::RowRef::main(2 * l + 1), bits);
       per_macro.push_back(replay(mem.macro(0).config(), p, true, policy, [&](std::size_t k) {
         const std::size_t c = (k / ops) * macros + m;
         return std::make_pair(chunk_of(x, c, per_op), chunk_of(w[k % ops], c, per_op));

@@ -10,6 +10,7 @@
 #include "common/rng.hpp"
 #include "macro/program.hpp"
 #include "macro/verifier.hpp"
+#include "trace_recorder.hpp"
 
 namespace bpim::macro {
 namespace {

@@ -19,6 +19,7 @@
 #include "macro/verifier.hpp"
 #include "periph/falogics.hpp"
 #include "reference_ledger.hpp"
+#include "trace_recorder.hpp"
 
 namespace bpim {
 namespace {

@@ -6,6 +6,7 @@
 
 #include "macro/program.hpp"
 #include "macro/verifier.hpp"
+#include "trace_recorder.hpp"
 
 namespace bpim::macro {
 namespace {
