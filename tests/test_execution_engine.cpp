@@ -341,7 +341,8 @@ Joule bank_fold(const macro::ImcMemory& mem, const std::vector<Joule>& per_macro
   const std::size_t per_bank = mem.config().macros_per_bank;
   for (std::size_t bk = 0; bk < mem.bank_count(); ++bk) {
     Joule bank{0.0};
-    for (std::size_t i = 0; i < mem.bank(bk).macro_count(); ++i) bank += per_macro[bk * per_bank + i];
+    for (std::size_t i = 0; i < mem.bank(bk).macro_count(); ++i)
+      bank += per_macro[bk * per_bank + i];
     total += bank;
   }
   return total;
@@ -436,7 +437,8 @@ TEST(ExecutionEngine, InstructionStreamConservesLedger) {
       for (const Replay& r : per_macro) energy.push_back(r.ledger.total_energy());
       EXPECT_EQ(res.stats.energy.si(), bank_fold(mem, energy).si()) << what;
       if (!policy.enabled()) {
-        const macro::InstructionCost ic = macro::CostModel(mem.macro(0).config()).instruction_cost(c.inst);
+        const macro::InstructionCost ic =
+            macro::CostModel(mem.macro(0).config()).instruction_cost(c.inst);
         EXPECT_EQ(res.stats.elapsed_cycles, ic.cycles * ((chunks + macros - 1) / macros)) << what;
       }
     }
@@ -499,7 +501,8 @@ TEST(ExecutionEngine, ForwardStreamConservesLedger) {
       Joule energy{0.0};
       for (const Replay& r : per_macro) {
         instructions += r.costs.size() / ops;
-        for (std::size_t l = 0; l < r.costs.size() / ops; ++l) energy += r.costs[l * ops + j].energy;
+        for (std::size_t l = 0; l < r.costs.size() / ops; ++l)
+          energy += r.costs[l * ops + j].energy;
       }
       EXPECT_EQ(res[j].stats.elapsed_cycles, cycles) << what << " op " << j;
       EXPECT_EQ(res[j].stats.adaptive_cycles_saved, adaptive) << what << " op " << j;
@@ -512,7 +515,8 @@ TEST(ExecutionEngine, ForwardStreamConservesLedger) {
     }
     const auto [cycles, dense] = makespans(per_macro);
     std::vector<Joule> energy(macros, Joule{0.0});
-    for (std::size_t m = 0; m < per_macro.size(); ++m) energy[m] = per_macro[m].ledger.total_energy();
+    for (std::size_t m = 0; m < per_macro.size(); ++m)
+      energy[m] = per_macro[m].ledger.total_energy();
     EXPECT_EQ(batch.compute_cycles, cycles) << what;
     EXPECT_EQ(batch.adaptive_cycles_saved, dense - cycles) << what;
     EXPECT_EQ(batch.energy.si(), bank_fold(mem, energy).si()) << what;
@@ -574,7 +578,8 @@ TEST(ExecutionEngine, ChainStreamConservesLedger) {
     const std::string what = "policy=" + std::to_string(policy.enabled());
     const auto [cycles, dense] = makespans(per_macro);
     std::vector<Joule> energy(macros, Joule{0.0});
-    for (std::size_t m = 0; m < per_macro.size(); ++m) energy[m] = per_macro[m].ledger.total_energy();
+    for (std::size_t m = 0; m < per_macro.size(); ++m)
+      energy[m] = per_macro[m].ledger.total_energy();
     EXPECT_EQ(res.stats.instructions, instructions) << what;
     EXPECT_EQ(res.stats.elapsed_cycles, cycles) << what;
     EXPECT_EQ(res.stats.adaptive_cycles_saved, dense - cycles) << what;

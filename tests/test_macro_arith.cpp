@@ -34,8 +34,8 @@ TEST_P(MacroArith, AddAllWordsOfARowPair) {
     macro_.poke_word(1, w, bits, b[w]);
   }
   const BitVector sum = macro_.add_rows(RowRef::main(0), RowRef::main(1), bits);
-  EXPECT_EQ(macro_.cost_model().program_cost(Program().add(RowRef::main(0), RowRef::main(1), bits)).cycles,
-            op_cycles(Op::Add, bits));
+  const Program add = Program().add(RowRef::main(0), RowRef::main(1), bits);
+  EXPECT_EQ(macro_.cost_model().program_cost(add).cycles, op_cycles(Op::Add, bits));
   for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t s = 0;
     for (unsigned i = 0; i < bits; ++i)
@@ -55,9 +55,8 @@ TEST_P(MacroArith, SubIsTwosComplement) {
     macro_.poke_word(1, w, bits, b[w]);
   }
   const BitVector diff = macro_.sub_rows(RowRef::main(0), RowRef::main(1), bits);
-  // Table 1: SUB takes 2 cycles
-  EXPECT_EQ(macro_.cost_model().program_cost(Program().sub(RowRef::main(0), RowRef::main(1), bits)).cycles,
-            2u);
+  const Program sub = Program().sub(RowRef::main(0), RowRef::main(1), bits);
+  EXPECT_EQ(macro_.cost_model().program_cost(sub).cycles, 2u);  // Table 1: SUB takes 2 cycles
   for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t d = 0;
     for (unsigned i = 0; i < bits; ++i)
@@ -79,11 +78,8 @@ TEST_P(MacroArith, AddShiftIsSumTimesTwo) {
   }
   const RowRef dest = RowRef::dummy(ImcMacro::kDummyAccum);
   const BitVector out = macro_.add_shift_rows(RowRef::main(0), RowRef::main(1), bits, dest);
-  // single-cycle add-and-shift
-  EXPECT_EQ(macro_.cost_model()
-                .program_cost(Program().add_shift(RowRef::main(0), RowRef::main(1), bits, dest))
-                .cycles,
-            1u);
+  const Program add_shift = Program().add_shift(RowRef::main(0), RowRef::main(1), bits, dest);
+  EXPECT_EQ(macro_.cost_model().program_cost(add_shift).cycles, 1u);  // single-cycle add-shift
   for (std::size_t w = 0; w < words; ++w) {
     std::uint64_t s = 0;
     for (unsigned i = 0; i < bits; ++i)

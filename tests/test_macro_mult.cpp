@@ -34,8 +34,8 @@ TEST_P(MacroMult, CycleCountIsNPlusTwo) {
   macro_.poke_mult_operand(0, 0, bits, 1);
   macro_.poke_mult_operand(1, 0, bits, 1);
   MacroController ctl(macro_);
-  const ProgramStats st =
-      ctl.run(verify(Program().mult(RowRef::main(0), RowRef::main(1), bits), macro_.config().geometry));
+  const Program mult = Program().mult(RowRef::main(0), RowRef::main(1), bits);
+  const ProgramStats st = ctl.run(verify(mult, macro_.config().geometry));
   EXPECT_EQ(st.cycles, bits + 2);  // Table 1: MULT = N+2
 }
 
